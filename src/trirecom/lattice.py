@@ -4,6 +4,11 @@ boundary, columns, corners, vertex ordering, and straight-line stepping.
 Vertices are (col, row) pairs with 1 <= row <= col <= n.  Column 1 is the
 single leftmost vertex; column n is the vertical right edge.  Row 1 runs along
 the top edge and row == col along the bottom edge.
+
+Vertex sets also have a bitboard form: vertex (col, row) is bit
+col * width + row of a Python int, with width = n + 2, so the six lattice
+directions are the constant shifts +-1, +-width and +-(width + 1) (see
+TriRegion.bit_of).
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ class TriRegion:
             for col in range(1, n + 1)
         )
         self.faces: tuple[tuple[Vertex, Vertex, Vertex], ...] = self._build_faces()
+        # Bitboard layout.  Row 0 and the rows below each column's last
+        # vertex are padding, so a shift never wraps one column into the
+        # next: AND-ing a shifted mask with a vertex set drops every
+        # off-region bit.
+        self.width = n + 2
+        self.bits: tuple[int, ...] = tuple(
+            1 << (col * self.width + row) for col, row in self.vertices
+        )
+        self.bit_of: dict[Vertex, int] = dict(zip(self.vertices, self.bits))
 
     def _build_faces(self) -> tuple[tuple[Vertex, Vertex, Vertex], ...]:
         # Each face is listed with its vertices in clockwise order.
@@ -92,6 +106,14 @@ class TriRegion:
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.vertex_set
+
+    def mask_of(self, vset) -> int:
+        """The bitboard of a set of region vertices."""
+        bit_of = self.bit_of
+        m = 0
+        for v in vset:
+            m |= bit_of[v]
+        return m
 
     def neighbors_cyclic(self, v: Vertex) -> tuple[Optional[Vertex], ...]:
         """The 6 neighbor slots of v in fixed clockwise order; out-of-region

@@ -9,10 +9,10 @@ from .lattice import Vertex
 from .partition import (
     BalanceClass,
     Partition,
+    _simply_connected_mask,
     classify,
     d_neighborhood,
     in_omega,
-    is_simply_connected,
 )
 
 
@@ -40,19 +40,23 @@ def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
     frm = p.district(v)
     if frm == to:
         return False
-    shrunk = p.district_set(frm) - {v}
-    grown = p.district_set(to) | {v}
-    return is_simply_connected(p.region, shrunk) and is_simply_connected(
-        p.region, grown
-    )
+    region = p.region
+    bit = region.bit_of[v]
+    masks = p.masks()
+    return _simply_connected_mask(
+        masks[frm - 1] & ~bit, region.width
+    ) and _simply_connected_mask(masks[to - 1] | bit, region.width)
 
 
 def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
-    """Fast sufficient test: the vertex's own-district neighborhood is
-    connected and its target-district neighborhood is connected and
-    nonempty."""
+    """Fast local flip test.  Precondition: the vertex's district and the
+    target district are both simply connected, as in every valid state.
+    Then the flip is valid when the vertex's district has more than one
+    vertex, its own-district neighborhood is one arc of the slot cycle, and
+    its target-district neighborhood is one nonempty arc (tests check that
+    this equals flip_valid on every flip of the n=5 window)."""
     frm = p.district(v)
-    if frm == to:
+    if frm == to or p.masks()[frm - 1].bit_count() < 2:
         return False
     _, own_conn = d_neighborhood(p, v, frm)
     to_set, to_conn = d_neighborhood(p, v, to)
@@ -83,14 +87,15 @@ def recom_valid(p: Partition, q: Partition) -> bool:
         return False
     if not in_omega(p) or not in_omega(q):
         return False
-    return any(p.district_set(d) == q.district_set(d) for d in (1, 2, 3))
+    return any(a == b for a, b in zip(p.masks(), q.masks()))
 
 
 def apply_recom(p: Partition, step: RecomStep) -> Partition:
     """Apply a recombination step, validating the untouched district and the
     resulting state."""
     q = p.with_labels(step.after)
-    if q.district_set(step.untouched) != p.district_set(step.untouched):
+    d = step.untouched - 1
+    if q.masks()[d] != p.masks()[d]:
         raise ValueError("recombination step changes its untouched district")
     if q.labels == p.labels:
         raise ValueError("recombination step must change the partition")

@@ -12,7 +12,7 @@ from .lattice import TriRegion, Vertex
 from .partition import (
     Partition,
     Targets,
-    is_simply_connected,
+    _simply_connected_mask,
 )
 
 #: Enumeration is exhaustive; refuse regions where it cannot finish promptly.
@@ -27,6 +27,7 @@ def simply_connected_subsets(
     """All simply connected subsets of `allowed` (default: every vertex) whose
     size lies in `sizes`, each generated exactly once by anchored growth: a
     subset is grown only from its smallest vertex in ordering order."""
+    bit_of, w = region.bit_of, region.width
     if allowed is None:
         allowed = region.vertex_set
     if not sizes:
@@ -35,16 +36,18 @@ def simply_connected_subsets(
     order = {v: region.index_of[v] for v in region.vertices}
     allowed_sorted = sorted(allowed, key=order.get)
 
-    def grow(current: set, candidates: list, banned: set):
-        # Yields every valid strict superset of `current` reachable by adding
-        # candidates; each subset is produced exactly once because candidates
-        # are consumed in ascending order and skipped ones are banned.
+    def grow(current: set, mask: int, candidates: list, banned: set):
+        # Yields every valid strict superset of `current` (bitboard `mask`)
+        # reachable by adding candidates; each subset is produced exactly
+        # once because candidates are consumed in ascending order and
+        # skipped ones are banned.
         if len(current) == max_size:
             return
         cands = sorted(candidates, key=order.get)
         for i, c in enumerate(cands):
             current.add(c)
-            if len(current) in sizes and is_simply_connected(region, current):
+            grown = mask | bit_of[c]
+            if len(current) in sizes and _simply_connected_mask(grown, w):
                 yield frozenset(current)
             later = cands[i + 1 :]
             new_banned = banned | set(cands[:i])
@@ -57,7 +60,7 @@ def simply_connected_subsets(
                 and u not in new_banned
                 and u not in later
             ]
-            yield from grow(current, later + extra, new_banned)
+            yield from grow(current, grown, later + extra, new_banned)
             current.discard(c)
 
     for anchor in allowed_sorted:
@@ -69,7 +72,7 @@ def simply_connected_subsets(
             for u in region.neighbors(anchor)
             if u in allowed and order[u] > anchor_order
         ]
-        yield from grow({anchor}, start_candidates, set())
+        yield from grow({anchor}, bit_of[anchor], start_candidates, set())
 
 
 def enumerate_omega(
@@ -97,7 +100,7 @@ def enumerate_omega(
             s3 = rest - s2
             if len(s3) not in sizes3:
                 continue
-            if not is_simply_connected(region, s3):
+            if not _simply_connected_mask(region.mask_of(s3), region.width):
                 continue
             labels = [0] * total
             for v in s1:
@@ -126,7 +129,7 @@ def enumerate_omega_bruteforce(
         sizes = p.sizes()
         if any(sz not in w for sz, w in zip(sizes, windows)):
             continue
-        if all(is_simply_connected(region, s) for s in p.districts()):
+        if all(_simply_connected_mask(m, region.width) for m in p.masks()):
             out.append(p)
     out.sort(key=lambda p: p.labels)
     return out
@@ -156,9 +159,9 @@ def build_state_graph(states: list[Partition]) -> StateGraph:
     n = len(states)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for d in (1, 2, 3):
-        buckets: dict[frozenset, list[int]] = {}
+        buckets: dict[int, list[int]] = {}
         for i, p in enumerate(states):
-            buckets.setdefault(p.district_set(d), []).append(i)
+            buckets.setdefault(p.masks()[d - 1], []).append(i)
         for members in buckets.values():
             for i, j in itertools.combinations(members, 2):
                 if states[i].labels != states[j].labels:

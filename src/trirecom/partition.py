@@ -1,6 +1,11 @@
 """Partition representation and structural predicates: simple connectivity,
 balance classification, district neighborhoods, cut and exposed vertices,
 tricolor triangles, rebalance-case dispatch, and ground-state construction.
+
+Validity runs on bitboards: each Partition caches one int mask per district,
+with vertex (col, row) at bit col * (n + 2) + row, so a lattice step is a
+constant shift and simple connectivity is a shift-and-mask flood fill plus an
+Euler-characteristic count.
 """
 
 from __future__ import annotations
@@ -67,25 +72,55 @@ def is_connected(region: TriRegion, vset: Iterable[Vertex]) -> bool:
     return len(component_of(region, vset, next(iter(vset)))) == len(vset)
 
 
+def _simply_connected_mask(m: int, w: int) -> bool:
+    """Simple connectivity of a bitboard of column width w (see
+    lattice.TriRegion.bit_of).  A shift-and-mask flood fill from the lowest
+    bit decides connectivity; a connected set then encloses no foreign
+    vertex iff its Euler characteristic V - E + F, counting lattice edges and
+    unit triangles inside the set, equals 1."""
+    if not m:
+        return False
+    w1 = w + 1
+    reach = m & -m
+    while True:
+        grown = (
+            reach
+            | reach << 1
+            | reach >> 1
+            | reach << w
+            | reach >> w
+            | reach << w1
+            | reach >> w1
+        ) & m
+        if grown == reach:
+            break
+        reach = grown
+    if reach != m:
+        return False
+    # bit x of each is set iff x's neighbor in that direction is in the set
+    down, upper_right, lower_right = m >> 1, m >> w, m >> w1
+    edges = (
+        (m & down).bit_count()
+        + (m & upper_right).bit_count()
+        + (m & lower_right).bit_count()
+    )
+    faces = (m & upper_right & lower_right).bit_count() + (
+        m & lower_right & down
+    ).bit_count()
+    return m.bit_count() - edges + faces == 1
+
+
 def is_simply_connected(region: TriRegion, vset: Iterable[Vertex]) -> bool:
     """True iff vset is nonempty, connected, and encloses no complement
-    vertex: every complement component must reach the region boundary (all
-    boundary-touching components merge through the exterior)."""
-    vset = set(vset)
-    if not vset or not is_connected(region, vset):
-        return False
-    complement = set(region.vertices) - vset
-    for comp in connected_components(region, complement):
-        if not (comp & region.boundary):
-            return False
-    return True
+    vertex (every complement component reaches the region boundary)."""
+    return _simply_connected_mask(region.mask_of(vset), region.width)
 
 
 class Partition:
     """An assignment of every region vertex to district 1, 2, or 3, with size
     targets.  Immutable; mutating operations return new values."""
 
-    __slots__ = ("region", "targets", "labels", "_districts", "_hash")
+    __slots__ = ("region", "targets", "labels", "_districts", "_masks", "_hash")
 
     def __init__(self, region: TriRegion, targets: Targets, labels: tuple[int, ...]):
         if len(labels) != region.num_vertices:
@@ -96,6 +131,7 @@ class Partition:
         self.targets = tuple(targets)
         self.labels = tuple(labels)
         self._districts: Optional[tuple[frozenset, ...]] = None
+        self._masks: Optional[tuple[int, int, int]] = None
         self._hash: Optional[int] = None
 
     def district(self, v: Vertex) -> int:
@@ -113,8 +149,18 @@ class Partition:
     def district_set(self, d: int) -> frozenset[Vertex]:
         return self.districts()[d - 1]
 
+    def masks(self) -> tuple[int, int, int]:
+        """(P1, P2, P3) as bitboards (see lattice.TriRegion.bit_of)."""
+        if self._masks is None:
+            masks = [0, 0, 0, 0]
+            for bit, lab in zip(self.region.bits, self.labels):
+                masks[lab] |= bit
+            self._masks = (masks[1], masks[2], masks[3])
+        return self._masks
+
     def sizes(self) -> tuple[int, int, int]:
-        return tuple(len(s) for s in self.districts())
+        m1, m2, m3 = self.masks()
+        return (m1.bit_count(), m2.bit_count(), m3.bit_count())
 
     def with_moves(self, moves: Iterable[tuple[Vertex, int]]) -> "Partition":
         """New partition with the given (vertex, new district) reassignments."""
@@ -178,7 +224,8 @@ class Partition:
 
 def is_valid(p: Partition) -> bool:
     """All three districts nonempty and simply connected."""
-    return all(is_simply_connected(p.region, s) for s in p.districts())
+    w = p.region.width
+    return all(_simply_connected_mask(m, w) for m in p.masks())
 
 
 def classify(p: Partition) -> BalanceClass:

@@ -2488,7 +2488,6 @@ def _route_to_ground(p: Partition) -> tuple[list[RecomStep], tuple[int, int, int
     if classify(b.p) is BalanceClass.NEARLY_BALANCED:
         _balance_std(b)
     roles = _corner_roles(b.p)
-    inv = {r: d for d, r in roles.items()}
     _role_run(b, roles, _sweep_std)
     roles = _corner_roles(b.p)
     inv = {r: d for d, r in roles.items()}
@@ -2508,11 +2507,10 @@ def path(sigma: Partition, tau: Partition, compress: bool = True) -> Trace:
     fwd, perm_a = _route_to_ground(sigma)
     back, perm_b = _route_to_ground(tau)
     bridge = ground_path(sigma.region, sigma.targets, perm_a, perm_b).steps
-    befores = []
-    cur = tau
-    for step in back:
-        befores.append(cur)
-        cur = apply_recom(cur, step)
+    # The builder validated every step of `back` when it emitted it, so each
+    # step's `before` is the previous step's `after`; verify_trace below
+    # re-checks the whole returned route.
+    befores = [tau] + [tau.with_labels(step.after) for step in back[:-1]]
     reversed_back = [
         reverse(step, before) for step, before in zip(back, befores)
     ][::-1]
@@ -2562,7 +2560,7 @@ def verify_trace(source: Partition, trace: Trace) -> dict:
                 "failed_at": idx,
                 "reason": "not a valid recombination step",
             }
-        if q.district_set(step.untouched) != cur.district_set(step.untouched):
+        if q.masks()[step.untouched - 1] != cur.masks()[step.untouched - 1]:
             return {
                 "ok": False,
                 "failed_at": idx,

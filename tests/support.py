@@ -1,4 +1,5 @@
-"""Shared test helpers: random state samplers and boundary-run utilities."""
+"""Shared test helpers: random state samplers, boundary-run utilities, and the
+breadth-first reference definition of simple connectivity."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ from trirecom import (
     Partition,
     apply_flip,
     build_region,
+    connected_components,
     flip_valid,
     ground_state,
     in_omega,
+    is_connected,
     is_simply_connected,
 )
 
@@ -22,6 +25,20 @@ TARGETS_BY_SIDE = {
     7: (9, 9, 10),
     8: (12, 12, 12),
 }
+
+
+def bfs_is_simply_connected(region, vset) -> bool:
+    """Reference definition by breadth-first search: vset is nonempty and
+    connected, and every component of its complement reaches the region
+    boundary (all boundary-touching components merge through the exterior)."""
+    vset = set(vset)
+    if not vset or not is_connected(region, vset):
+        return False
+    complement = set(region.vertices) - vset
+    return all(
+        comp & region.boundary
+        for comp in connected_components(region, complement)
+    )
 
 
 def random_omega_state(region, targets, rng: random.Random, attempts: int = 300):

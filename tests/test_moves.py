@@ -6,6 +6,7 @@ import random
 import pytest
 
 from trirecom import (
+    Partition,
     RecomStep,
     apply_flip,
     apply_recom,
@@ -13,7 +14,6 @@ from trirecom import (
     flip_valid,
     ground_state,
     in_omega,
-    is_simply_connected,
     lift_flip,
     neighborhood_flip_test,
     recom_valid,
@@ -21,7 +21,7 @@ from trirecom import (
     untouched_of_flip,
 )
 
-from support import random_omega_state
+from support import bfs_is_simply_connected, random_omega_state
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,8 @@ def test_flip_valid_matches_definition(pool5):
             for to in (1, 2, 3):
                 expected = (
                     to != frm
-                    and is_simply_connected(p.region, p.district_set(frm) - {v})
-                    and is_simply_connected(p.region, p.district_set(to) | {v})
+                    and bfs_is_simply_connected(p.region, p.district_set(frm) - {v})
+                    and bfs_is_simply_connected(p.region, p.district_set(to) | {v})
                 )
                 assert flip_valid(p, v, to) == expected
 
@@ -59,6 +59,32 @@ def test_neighborhood_test_implies_flip_valid(pool5):
                     positives += 1
                     assert flip_valid(p, v, to)
     assert positives > 100
+
+
+def test_neighborhood_test_rejects_emptying_a_district():
+    # district 1 = {(1, 1)}, district 3 = column 5, the rest district 2:
+    # moving (1, 1) to district 2 passes both arc conditions but empties
+    # district 1
+    region = build_region(5)
+    labels = tuple(
+        1 if v == (1, 1) else 3 if v[0] == 5 else 2 for v in region.vertices
+    )
+    p = Partition(region, (1, 9, 5), labels)
+    assert in_omega(p)
+    assert not flip_valid(p, (1, 1), 2)
+    assert not neighborhood_flip_test(p, (1, 1), 2)
+
+
+def test_neighborhood_test_equals_flip_valid_on_the_n5_window(omega5):
+    cases = 0
+    for p in omega5:
+        for v in p.region.vertices:
+            for to in (1, 2, 3):
+                if to == p.district(v):
+                    continue
+                cases += 1
+                assert neighborhood_flip_test(p, v, to) == flip_valid(p, v, to)
+    assert cases == 99_180
 
 
 def test_lift_flip_records_untouched_district(pool5):
