@@ -6,152 +6,30 @@ regions (`oracle`), and a constructive engine that routes any two window
 states to each other through verified recombination steps (`toolkit`,
 `pathfinder`).  The `cli` module exposes the same operations as the
 `trirecom` command.
+
+The top level re-exports only the quick-start names and the ones the
+benchmark drives; everything else is imported from its submodule.
 """
 
-from .lattice import (
-    DIRECTIONS,
-    OUTSIDE,
-    TriRegion,
-    Vertex,
-    build_region,
-    ordering_index,
-)
-from .moves import (
-    RecomStep,
-    apply_flip,
-    apply_recom,
-    flip_valid,
-    lift_flip,
-    neighborhood_flip_test,
-    recom_valid,
-    reverse,
-    untouched_of_flip,
-)
-from .oracle import (
-    MAX_ENUMERATION_SIDE,
-    StateGraph,
-    build_state_graph,
-    check_connected,
-    enumerate_omega,
-    enumerate_omega_bruteforce,
-    eccentricity_stats,
-    rigid_states,
-    simply_connected_subsets,
-    unlabeled_form,
-)
-from .partition import (
-    BalanceClass,
-    Partition,
-    Targets,
-    TricolorTriangle,
-    case_dispatch,
-    classify,
-    connected_components,
-    d_neighborhood,
-    districts_adjacent,
-    exposed_vertices,
-    ground_state,
-    ground_states,
-    in_omega,
-    is_connected,
-    is_cut_vertex,
-    is_simply_connected,
-    is_valid,
-    tricolor_triangles,
-)
-from .pathfinder import (
-    MIN_SIDE,
-    PathError,
-    Trace,
-    balance_nearly,
-    compress_steps,
-    finish_ground,
-    ground_path,
-    increase_column,
-    path,
-    rebalance,
-    sweep,
-    verify_trace,
-)
-from .toolkit import (
-    NoShrinkVertex,
-    StructuralError,
-    bfs_last_order,
-    build_tower,
-    cycle_recombine,
-    execute_tower,
-    find_shrink_vertex,
-    path_within,
-    unwind,
-    vertices_enclosed,
-)
+from .lattice import build_region
+from .moves import apply_flip, flip_valid
+from .oracle import build_state_graph, enumerate_omega
+from .partition import Partition, ground_state, in_omega
+from .pathfinder import PathError, Trace, path, verify_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceClass",
-    "DIRECTIONS",
-    "MAX_ENUMERATION_SIDE",
-    "MIN_SIDE",
-    "NoShrinkVertex",
-    "OUTSIDE",
     "Partition",
     "PathError",
-    "RecomStep",
-    "StateGraph",
-    "StructuralError",
-    "Targets",
     "Trace",
-    "TricolorTriangle",
-    "TriRegion",
-    "Vertex",
     "apply_flip",
-    "apply_recom",
-    "balance_nearly",
-    "bfs_last_order",
     "build_region",
     "build_state_graph",
-    "build_tower",
-    "case_dispatch",
-    "check_connected",
-    "classify",
-    "compress_steps",
-    "connected_components",
-    "cycle_recombine",
-    "d_neighborhood",
-    "districts_adjacent",
-    "eccentricity_stats",
     "enumerate_omega",
-    "enumerate_omega_bruteforce",
-    "execute_tower",
-    "exposed_vertices",
-    "find_shrink_vertex",
-    "finish_ground",
     "flip_valid",
-    "ground_path",
     "ground_state",
-    "ground_states",
     "in_omega",
-    "increase_column",
-    "is_connected",
-    "is_cut_vertex",
-    "is_simply_connected",
-    "is_valid",
-    "lift_flip",
-    "neighborhood_flip_test",
-    "ordering_index",
     "path",
-    "path_within",
-    "rebalance",
-    "recom_valid",
-    "reverse",
-    "rigid_states",
-    "simply_connected_subsets",
-    "sweep",
-    "tricolor_triangles",
-    "unlabeled_form",
-    "untouched_of_flip",
-    "unwind",
     "verify_trace",
-    "vertices_enclosed",
 ]

@@ -6,13 +6,15 @@ the one-vertex imbalance each advance creates through a case analysis on how
 districts 2 and 3 meet the boundary, and finally shuffling districts 2 and 3
 into block position.  Two such routes are joined through the block states.
 
-Every emitted step is validated at construction time.  The engine never
+Each step is validated once, when it is emitted, in the frame of the
+procedure that made it, then recorded in root labels.  The engine never
 searches the state space: when a structural expectation of a branch fails, a
 PathError naming the branch is raised instead.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .lattice import OUTSIDE, TriRegion, Vertex, ordering_index
@@ -21,9 +23,8 @@ from .moves import (
     apply_flip,
     apply_recom,
     flip_valid,
-    lift_flip,
-    recom_valid,
     reverse,
+    untouched_of_flip,
 )
 from .partition import (
     BalanceClass,
@@ -56,6 +57,9 @@ from .toolkit import (
 #: The constructive procedures assume districts can host a full column.
 MIN_SIDE = 5
 
+#: Role map exchanging districts 2 and 3.
+_SWAP_23 = {1: 1, 2: 3, 3: 2}
+
 
 class PathError(Exception):
     """A constructive procedure met a configuration outside the branch it
@@ -86,27 +90,46 @@ class Trace:
 
 
 class _Builder:
-    """A working partition plus the validated steps that produced it.  Flips
-    are checked against the window and the frozen vertex set."""
+    """A working partition in a local coordinate frame plus the step list it
+    shares with every builder nested under the same root.
 
-    __slots__ = ("p", "steps", "frozen")
+    The frame is the district relabeling, column-fixing reflection and
+    third-turn rotation taking the root partition to the local one: `vmap`
+    gives, for each root vertex index, the local index of its image (None for
+    the identity) and `dmap` sends each local district to its root district.
+    Each step is validated once, against the window and the frozen set, when
+    it is emitted, and recorded in root labels."""
 
-    def __init__(self, p: Partition, frozen=frozenset()):
+    __slots__ = ("p", "steps", "frozen", "vmap", "dmap")
+
+    def __init__(
+        self, p: Partition, frozen=frozenset(), steps=None, vmap=None,
+        dmap=(0, 1, 2, 3),
+    ):
         self.p = p
-        self.steps: list[RecomStep] = []
+        self.steps: list[RecomStep] = [] if steps is None else steps
         self.frozen = frozenset(frozen)
+        self.vmap = vmap
+        self.dmap = dmap
+
+    def _record(self, q: Partition, untouched: int, note: str) -> None:
+        labels, vmap, dmap = q.labels, self.vmap, self.dmap
+        if vmap is not None:
+            labels = tuple(dmap[labels[j]] for j in vmap)
+        elif dmap != (0, 1, 2, 3):
+            labels = tuple(dmap[d] for d in labels)
+        self.steps.append(RecomStep(dmap[untouched], labels, note))
+        self.p = q
 
     def flip(self, v: Vertex, to: int, note: str) -> None:
         if v in self.frozen:
             raise PathError(note, f"flip would reassign frozen vertex {v}")
         if not flip_valid(self.p, v, to):
             raise PathError(note, f"flip {v} -> {to} is not valid")
-        step = lift_flip(self.p, v, to, note)
         q = apply_flip(self.p, v, to)
         if not in_omega(q):
             raise PathError(note, f"flip {v} -> {to} leaves the window")
-        self.p = q
-        self.steps.append(step)
+        self._record(q, untouched_of_flip(self.p.district(v), to), note)
 
     def extend(self, steps) -> None:
         for step in steps:
@@ -116,103 +139,88 @@ class _Builder:
                     raise PathError(
                         step.note, f"step reassigns frozen vertex {v}"
                     )
-            self.p = q
-            self.steps.append(step)
+            self._record(q, step.untouched, step.note)
 
     def balanced(self) -> bool:
         return self.p.sizes() == self.p.targets
 
+    def run(
+        self, func, *args, roles=None, reflect=False, turns=0, frozen=()
+    ):
+        """Run func on a sub-builder whose frame is this one composed with the
+        district relabeling `roles` (concrete d -> role roles[d]), then the
+        reflection, then `turns` third-turn rotations.  The sub-builder
+        appends to the same step list and freezes this builder's frozen set
+        (mapped) plus `frozen` (in its own coordinates); afterwards this
+        builder's partition is pulled back from the sub-builder's."""
+        region = self.p.region
+        turns %= 3
 
-# -- label-space and geometric transforms --------------------------------------
+        def move(v: Vertex) -> Vertex:
+            if reflect:
+                v = region.reflect(v)
+            for _ in range(turns):
+                v = region.rotate(v)
+            return v
+
+        start, vmap, dmap = self.p, self.vmap, self.dmap
+        if roles is not None:
+            start = start.relabeled(roles)
+            inv = {r: d for d, r in roles.items()}
+            dmap = (0,) + tuple(dmap[inv[r]] for r in (1, 2, 3))
+        if reflect:
+            start = start.reflected()
+        if turns:
+            start = start.rotated(turns)
+        if reflect or turns:
+            index_of, vertices = region.index_of, region.vertices
+            vmap = tuple(
+                index_of[move(vertices[j])]
+                for j in (range(len(vertices)) if vmap is None else vmap)
+            )
+        frozen = frozenset(map(move, self.frozen)) | frozenset(frozen)
+        sub = _Builder(start, frozen, self.steps, vmap, dmap)
+        out = func(sub, *args)
+        if sub.p is not start:
+            q = sub.p.rotated(3 - turns) if turns else sub.p
+            q = q.reflected() if reflect else q
+            self.p = q if roles is None else q.relabeled(inv)
+        return out
+
+    def attempt(self, func, *args):
+        """Run func on this builder; on a structural failure drop its steps,
+        restore the partition and return the error (None on success)."""
+        p, mark = self.p, len(self.steps)
+        try:
+            func(self, *args)
+        except (PathError, StructuralError) as exc:
+            del self.steps[mark:]
+            self.p = p
+            return exc
+        return None
 
 
-def _reflect_labels(region: TriRegion, labels) -> tuple[int, ...]:
-    out = [0] * region.num_vertices
-    for v in region.vertices:
-        out[region.index_of[region.reflect(v)]] = labels[region.index_of[v]]
-    return tuple(out)
-
-
-def _rotate_labels(region: TriRegion, labels, turns: int) -> tuple[int, ...]:
-    labels = list(labels)
-    for _ in range(turns % 3):
-        out = [0] * region.num_vertices
-        for v in region.vertices:
-            out[region.index_of[region.rotate(v)]] = labels[region.index_of[v]]
-        labels = out
-    return tuple(labels)
-
-
-def _role_run(b: _Builder, to_role: dict[int, int], func) -> None:
-    """Run func on the relabeled partition (concrete d -> role to_role[d]) and
-    pull the emitted steps back into concrete labels."""
-    inv = {r: d for d, r in to_role.items()}
-    sub = _Builder(b.p.relabeled(to_role), b.frozen)
-    func(sub)
-    b.extend(
-        RecomStep(inv[s.untouched], tuple(inv[d] for d in s.after), s.note)
-        for s in sub.steps
-    )
-
-
-def _swapped_run(b: _Builder, x: int, y: int, func) -> None:
-    perm = {1: 1, 2: 2, 3: 3}
-    perm[x], perm[y] = y, x
-    _role_run(b, perm, func)
-
-
-def _reflected_run(b: _Builder, func) -> None:
-    """Run func on the mirror image and pull the steps back."""
-    region = b.p.region
-    sub = _Builder(
-        b.p.reflected(), frozenset(region.reflect(v) for v in b.frozen)
-    )
-    func(sub)
-    b.extend(
-        RecomStep(s.untouched, _reflect_labels(region, s.after), s.note)
-        for s in sub.steps
-    )
-
-
-def _rotated_run(b: _Builder, turns: int, func) -> None:
-    """Run func on the image rotated by `turns` thirds of a turn."""
-    region = b.p.region
-
-    def fwd(v: Vertex) -> Vertex:
-        for _ in range(turns % 3):
-            v = region.rotate(v)
-        return v
-
-    sub = _Builder(b.p.rotated(turns), frozenset(fwd(v) for v in b.frozen))
-    func(sub)
-    back = (3 - turns) % 3
-    b.extend(
-        RecomStep(s.untouched, _rotate_labels(region, s.after, back), s.note)
-        for s in sub.steps
-    )
+def _first_success(b: _Builder, func, candidates) -> None:
+    """Run func(b, *cand) for each candidate until one succeeds; raise the
+    first candidate's error when all fail."""
+    first_err = None
+    for cand in candidates:
+        err = b.attempt(func, *cand)
+        if err is None:
+            return
+        if first_err is None:
+            first_err = err
+    raise first_err
 
 
 def _mirror_retry(b: _Builder, func, *args) -> None:
     """Run func; on a structural failure retry on the mirror image, keeping
     the first error if both orientations fail."""
-    sub = _Builder(b.p, b.frozen)
-    try:
-        func(sub, *args)
-    except (PathError, StructuralError) as first:
-        region = b.p.region
-        ref = _Builder(
-            b.p.reflected(), frozenset(region.reflect(v) for v in b.frozen)
-        )
-        try:
-            func(ref, *args)
-        except (PathError, StructuralError):
-            raise first
-        b.extend(
-            RecomStep(s.untouched, _reflect_labels(region, s.after), s.note)
-            for s in ref.steps
-        )
-        return
-    b.extend(sub.steps)
+    first = b.attempt(func, *args)
+    if first is not None and b.run(
+        lambda sub: sub.attempt(func, *args), reflect=True
+    ):
+        raise first
 
 
 # -- small structural helpers ---------------------------------------------------
@@ -304,8 +312,6 @@ def _hex_distance(u: Vertex, v: Vertex) -> int:
 
 def _p1_distances(p: Partition) -> dict[Vertex, int]:
     """BFS distance from the anchor corner within district 1."""
-    from collections import deque
-
     root = (1, 1)
     dist = {root: 0}
     queue = deque([root])
@@ -396,11 +402,11 @@ def _advance_column(b: _Builder, i: int) -> None:
             p.district(u) == 1 for u in col
         ):
             raise PathError("column-advance", "column has no mixed pair")
-        _reflected_run(b, lambda sub: _advance_column(sub, i))
+        b.run(_advance_column, i, reflect=True)
         return
     w, v = pair
     if p.district(v) == 3:
-        _swapped_run(b, 2, 3, lambda sub: _advance_pair(sub, i, w, v))
+        b.run(_advance_pair, i, w, v, roles=_SWAP_23)
     else:
         _advance_pair(b, i, w, v)
 
@@ -466,17 +472,16 @@ def _rebalance_roles(b: _Builder, i: int) -> None:
     )
     if deficit is None:
         raise PathError("rebalance", "no deficit district")
-
-    def run(sub: _Builder) -> None:
-        frozen = sub.p.district_set(1) & sub.p.region.columns_leq(i)
-        inner = _Builder(sub.p, frozen)
-        _rebalance_std(inner, i)
-        sub.extend(inner.steps)
-
     if deficit == 2:
-        _swapped_run(b, 2, 3, run)
+        b.run(_rebalance_frozen, i, roles=_SWAP_23)
     else:
-        run(b)
+        _rebalance_frozen(b, i)
+
+
+def _rebalance_frozen(b: _Builder, i: int) -> None:
+    """The standard rebalance with district-1 columns <= i frozen."""
+    frozen = b.p.district_set(1) & b.p.region.columns_leq(i)
+    b.run(_rebalance_std, i, frozen=frozen)
 
 
 # -- Case A: districts 2 and 3 touch along the boundary ----------------------------
@@ -499,18 +504,7 @@ def _case_a(b: _Builder, i: int) -> None:
     )
     if not cand:
         raise PathError("boundary-pair", "no adjacent boundary pair")
-    first_err = None
-    for a, bb in cand:
-        sub = _Builder(b.p, b.frozen)
-        try:
-            _case_a_pair(sub, i, a, bb)
-        except (PathError, StructuralError) as exc:
-            if first_err is None:
-                first_err = exc
-            continue
-        b.extend(sub.steps)
-        return
-    raise first_err
+    _first_success(b, _case_a_pair, [(i, a, bb) for a, bb in cand])
 
 
 def _case_a_pair(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
@@ -818,11 +812,8 @@ def _interior_valid_p3(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
     if flip_valid(p, v, 3):
         b.flip(v, 3, note)
         return
-    try:
-        _p1_pocket(b, i, v)
+    if b.attempt(_p1_pocket, i, v) is None:
         return
-    except (PathError, StructuralError):
-        pass
     # district 2 lies inside every detour; shrink it away from a
     vp, _ = find_shrink_vertex(p, p.district_set(2) - {a}, (3,))
     b.flip(v, 2, note)
@@ -1185,21 +1176,14 @@ def _case_b(b: _Builder, i: int) -> None:
     )
     if not tris:
         raise PathError("interior-2", "no tricolor face")
-    first_err = None
-    for tri in tris:
-        a = tri.vertex_in(p, 2)
-        bb = tri.vertex_in(p, 3)
-        c = tri.vertex_in(p, 1)
-        sub = _Builder(b.p, b.frozen)
-        try:
-            _interior_pair(sub, i, a, bb, c)
-        except (PathError, StructuralError) as exc:
-            if first_err is None:
-                first_err = exc
-            continue
-        b.extend(sub.steps)
-        return
-    raise first_err
+    _first_success(
+        b,
+        _interior_pair,
+        [
+            (i, tri.vertex_in(p, 2), tri.vertex_in(p, 3), tri.vertex_in(p, 1))
+            for tri in tris
+        ],
+    )
 
 
 def _case_c(b: _Builder, i: int) -> None:
@@ -1580,18 +1564,7 @@ def _case_d(b: _Builder, i: int, depth: int = 0) -> None:
     )
     if not cand:
         raise PathError("separated", "no boundary junction pair")
-    first_err = None
-    for a, bv in cand:
-        sub = _Builder(b.p, b.frozen)
-        try:
-            _case_d_pair(sub, i, a, bv, depth)
-        except (PathError, StructuralError) as exc:
-            if first_err is None:
-                first_err = exc
-            continue
-        b.extend(sub.steps)
-        return
-    raise first_err
+    _first_success(b, _case_d_pair, [(i, a, bv, depth) for a, bv in cand])
 
 
 def _case_redispatch(b: _Builder, i: int, depth: int) -> None:
@@ -1954,11 +1927,7 @@ def _nb_rebalance(b: _Builder, depth: int) -> None:
     if over is None or under is None:
         raise PathError("restore-balance", f"sizes {sizes} not nearly balanced")
     mid = ({1, 2, 3} - {over, under}).pop()
-    perm = {over: 1, mid: 2, under: 3}
-    if perm == {1: 1, 2: 2, 3: 3}:
-        _nb_core(b, depth)
-    else:
-        _role_run(b, perm, lambda sub: _nb_core(sub, depth))
+    b.run(_nb_core, depth, roles={over: 1, mid: 2, under: 3})
 
 
 def _nb_core(b: _Builder, depth: int) -> None:
@@ -1975,18 +1944,7 @@ def _nb_core(b: _Builder, depth: int) -> None:
     held = [x for x in corners if x in p1]
     if held:
         turns = {corners[0]: 0, corners[1]: 2, corners[2]: 1}[held[0]]
-
-        def run(sub: _Builder) -> None:
-            inner = _Builder(
-                sub.p, sub.p.district_set(1) & sub.p.region.columns_leq(1)
-            )
-            _rebalance_std(inner, 1)
-            sub.extend(inner.steps)
-
-        if turns:
-            _rotated_run(b, turns, run)
-        else:
-            run(b)
+        b.run(_rebalance_frozen, 1, turns=turns)
         return
     rem = _removables(p, p1)
     for v, to in rem:
@@ -2013,15 +1971,11 @@ def _nb_core(b: _Builder, depth: int) -> None:
     )
     first_err = None
     for a, bv in p1_pairs:
-        sub = _Builder(b.p, b.frozen)
-        try:
-            _nb_junction(sub, a, bv, depth)
-        except (PathError, StructuralError) as exc:
-            if first_err is None:
-                first_err = exc
-            continue
-        b.extend(sub.steps)
-        return
+        err = b.attempt(_nb_junction, a, bv, depth)
+        if err is None:
+            return
+        if first_err is None:
+            first_err = err
     if any(p.district(pr[0]) == 2 for pr in pairs) and rem:
         b.flip(rem[0][0], 2, note)
         _nb_rebalance(b, depth + 1)
@@ -2226,18 +2180,7 @@ def _nb_tric(b: _Builder, depth: int) -> None:
         cands.append((av, bv3, e))
     if not cands:
         raise PathError(note, "no workable tricolor pivot")
-    first_err = None
-    for av, bv3, e in cands:
-        sub = _Builder(b.p, b.frozen)
-        try:
-            _nb_lcycle(sub, av, bv3, e)
-        except (PathError, StructuralError) as exc:
-            if first_err is None:
-                first_err = exc
-            continue
-        b.extend(sub.steps)
-        return
-    raise first_err
+    _first_success(b, _nb_lcycle, cands)
 
 
 def _nb_gap_vertex(p: Partition, a: Vertex, bv: Vertex) -> Vertex:
@@ -2398,7 +2341,7 @@ def increase_column(p: Partition, i: int) -> Trace:
     if classify(p) is not BalanceClass.BALANCED:
         raise PathError("column-advance", "partition is not balanced")
     b = _Builder(p)
-    _role_run(b, _corner_roles(p), lambda sub: _advance_column(sub, i))
+    b.run(_advance_column, i, roles=_corner_roles(p))
     return _as_trace(p, b.steps)
 
 
@@ -2407,7 +2350,7 @@ def rebalance(p: Partition, i: int) -> Trace:
     vertices in columns <= i."""
     _check_instance(p)
     b = _Builder(p)
-    _role_run(b, _corner_roles(p), lambda sub: _rebalance_roles(sub, i))
+    b.run(_rebalance_roles, i, roles=_corner_roles(p))
     return _as_trace(p, b.steps)
 
 
@@ -2418,7 +2361,7 @@ def sweep(p: Partition) -> Trace:
     if classify(p) is not BalanceClass.BALANCED:
         raise PathError("sweep", "partition is not balanced")
     b = _Builder(p)
-    _role_run(b, _corner_roles(p), _sweep_std)
+    b.run(_sweep_std, roles=_corner_roles(p))
     return _as_trace(p, b.steps)
 
 
@@ -2427,7 +2370,7 @@ def finish_ground(p: Partition) -> Trace:
     appear in role order along the vertex ordering."""
     _check_instance(p)
     b = _Builder(p)
-    _role_run(b, _corner_roles(p), _finish_std)
+    b.run(_finish_std, roles=_corner_roles(p))
     return _as_trace(p, b.steps)
 
 
@@ -2450,8 +2393,6 @@ def ground_path(
     start = ground_state(region, targets, perm_a)
     if perm_a == perm_b:
         return _as_trace(start, [])
-    from collections import deque
-
     prev: dict[tuple, tuple | None] = {perm_a: None}
     queue = deque([perm_a])
     while queue and perm_b not in prev:
@@ -2487,11 +2428,10 @@ def _route_to_ground(p: Partition) -> tuple[list[RecomStep], tuple[int, int, int
     b = _Builder(p)
     if classify(b.p) is BalanceClass.NEARLY_BALANCED:
         _balance_std(b)
-    roles = _corner_roles(b.p)
-    _role_run(b, roles, _sweep_std)
+    b.run(_sweep_std, roles=_corner_roles(b.p))
     roles = _corner_roles(b.p)
     inv = {r: d for d, r in roles.items()}
-    _role_run(b, roles, _finish_std)
+    b.run(_finish_std, roles=roles)
     return b.steps, (inv[1], inv[2], inv[3])
 
 
@@ -2548,13 +2488,20 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
 
 
 def verify_trace(source: Partition, trace: Trace) -> dict:
-    """Independently re-validate every step of the trace from the source."""
+    """Independently re-validate the source and every step of the trace."""
     if trace.source != source.labels:
         return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
+    if not in_omega(source):
+        return {"ok": False, "failed_at": -1, "reason": "source outside the window"}
     cur = source
     for idx, step in enumerate(trace.steps):
+        # each state is classified once, as q; cur was the previous q
         q = Partition(source.region, source.targets, step.after)
-        if not recom_valid(cur, q):
+        if (
+            q.labels == cur.labels
+            or not in_omega(q)
+            or not any(a == b for a, b in zip(cur.masks(), q.masks()))
+        ):
             return {
                 "ok": False,
                 "failed_at": idx,

@@ -10,10 +10,12 @@ from trirecom import (
     Partition,
     apply_flip,
     build_region,
-    connected_components,
     flip_valid,
     ground_state,
     in_omega,
+)
+from trirecom.partition import (
+    connected_components,
     is_connected,
     is_simply_connected,
 )

@@ -12,33 +12,37 @@ import math
 import random
 
 from trirecom import (
-    BalanceClass,
     apply_flip,
-    apply_recom,
-    balance_nearly,
     build_region,
     build_state_graph,
-    build_tower,
-    classify,
-    connected_components,
     enumerate_omega,
     flip_valid,
-    execute_tower,
-    ground_path,
     ground_state,
     in_omega,
+    path,
+    verify_trace,
+)
+from trirecom.moves import (
+    apply_recom,
+    lift_flip,
+    neighborhood_flip_test,
+    recom_valid,
+    reverse,
+)
+from trirecom.oracle import rigid_states, unlabeled_form
+from trirecom.partition import (
+    BalanceClass,
+    classify,
+    connected_components,
     is_connected,
     is_cut_vertex,
     is_simply_connected,
-    lift_flip,
-    neighborhood_flip_test,
-    path,
-    recom_valid,
-    reverse,
-    rigid_states,
     tricolor_triangles,
-    unlabeled_form,
-    verify_trace,
+)
+from trirecom.pathfinder import balance_nearly, ground_path
+from trirecom.toolkit import (
+    build_tower,
+    execute_tower,
     bfs_last_order,
     StructuralError,
 )

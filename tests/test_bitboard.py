@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from trirecom import DIRECTIONS, build_region, is_connected, is_simply_connected
+from trirecom import build_region
+from trirecom.lattice import DIRECTIONS
+from trirecom.partition import is_connected, is_simply_connected
 from trirecom.partition import _simply_connected_mask
 
 from support import bfs_is_simply_connected, random_omega_state

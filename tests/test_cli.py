@@ -6,8 +6,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from trirecom import build_region, ground_state, verify_trace
-from trirecom.cli import dump_obj, load_trace, main, state_to_obj
+from trirecom import Partition, Trace, build_region, ground_state, verify_trace
+from trirecom.cli import dump_obj, load_trace, main, state_to_obj, trace_to_obj
 
 
 @pytest.fixture()
@@ -130,6 +130,21 @@ def test_verify_rejects_corrupted_trace(runner, tmp_path):
     bad = runner.invoke(main, ["verify", "--trace", str(out)])
     assert bad.exit_code == 1
     assert "step 0" in bad.output
+
+
+def test_verify_rejects_out_of_window_source(runner, tmp_path):
+    # district 1 holds 13 of 15 vertices: outside the window, yet a trace
+    # with no steps gives no step at which to notice it
+    source = Partition(build_region(5), (5, 5, 5), (1,) * 13 + (2, 3))
+    report = verify_trace(source, Trace(source.labels, []))
+    assert not report["ok"]
+    assert report["failed_at"] == -1
+    assert report["reason"] == "source outside the window"
+    f = tmp_path / "trace.json"
+    f.write_text(dump_obj(trace_to_obj(source, Trace(source.labels, []))))
+    result = runner.invoke(main, ["verify", "--trace", str(f)])
+    assert result.exit_code == 1
+    assert "source outside the window" in result.output
 
 
 def test_verify_rejects_malformed_files(runner, tmp_path):

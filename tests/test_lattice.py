@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from trirecom import DIRECTIONS, OUTSIDE, build_region, ordering_index
+from trirecom import build_region
+from trirecom.lattice import DIRECTIONS, OUTSIDE, ordering_index
 
 sides = st.integers(min_value=3, max_value=10)
 

@@ -7,13 +7,15 @@ import pytest
 
 from trirecom import (
     Partition,
-    RecomStep,
     apply_flip,
-    apply_recom,
     build_region,
     flip_valid,
     ground_state,
     in_omega,
+)
+from trirecom.moves import (
+    RecomStep,
+    apply_recom,
     lift_flip,
     neighborhood_flip_test,
     recom_valid,

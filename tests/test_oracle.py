@@ -5,21 +5,18 @@ import itertools
 
 import pytest
 
-from trirecom import (
+from trirecom import build_region, build_state_graph, enumerate_omega, in_omega
+from trirecom.moves import recom_valid
+from trirecom.oracle import (
     MAX_ENUMERATION_SIDE,
-    build_region,
-    build_state_graph,
     check_connected,
-    enumerate_omega,
     enumerate_omega_bruteforce,
     eccentricity_stats,
-    in_omega,
-    is_simply_connected,
-    recom_valid,
     rigid_states,
     simply_connected_subsets,
     unlabeled_form,
 )
+from trirecom.partition import is_simply_connected
 
 
 def test_simply_connected_subsets_counts_and_uniqueness():

@@ -6,24 +6,21 @@ import random
 
 import pytest
 
-from trirecom import (
+from trirecom import Partition, ground_state, in_omega, build_region
+from trirecom.partition import (
     BalanceClass,
-    Partition,
     case_dispatch,
     classify,
     connected_components,
     d_neighborhood,
     districts_adjacent,
     exposed_vertices,
-    ground_state,
     ground_states,
-    in_omega,
     is_connected,
     is_cut_vertex,
     is_simply_connected,
     is_valid,
     tricolor_triangles,
-    build_region,
 )
 from trirecom.partition import is_exposed, own_neighborhood_connected
 

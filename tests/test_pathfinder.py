@@ -8,23 +8,27 @@ import random
 import pytest
 
 from trirecom import (
-    BalanceClass,
-    MIN_SIDE,
     PathError,
-    RecomStep,
     Trace,
-    apply_recom,
-    balance_nearly,
+    apply_flip,
     build_region,
-    classify,
+    flip_valid,
+    ground_state,
+    in_omega,
+    path,
+    verify_trace,
+)
+from trirecom.moves import RecomStep, apply_recom, untouched_of_flip
+from trirecom.partition import BalanceClass, classify, ground_states
+from trirecom.pathfinder import (
+    MIN_SIDE,
+    _Builder,
+    _first_success,
+    balance_nearly,
     compress_steps,
     finish_ground,
     ground_path,
-    ground_state,
-    ground_states,
-    path,
     sweep,
-    verify_trace,
 )
 
 from support import TARGETS_BY_SIDE, random_omega_state
@@ -214,3 +218,107 @@ def test_verify_trace_detects_corruption(pool5):
     report = verify_trace(tau, trace) if tau.labels != sigma.labels else None
     if report is not None:
         assert not report["ok"] and report["failed_at"] == -1
+
+
+# -- the step builder: frames, rollback, candidate loops ----------------------
+
+#: (reflect, turns) for the identity, the reflection and both rotations.
+GEOMETRIES = ((False, 0), (True, 0), (False, 1), (False, 2))
+FRAMES = [
+    (dict(zip((1, 2, 3), perm)), reflect, turns)
+    for perm in itertools.permutations((1, 2, 3))
+    for reflect, turns in GEOMETRIES
+]
+
+
+def _first_valid_flip(p):
+    for v in p.region.vertices:
+        for to in (1, 2, 3):
+            if flip_valid(p, v, to) and in_omega(apply_flip(p, v, to)):
+                return v, to
+    raise AssertionError("no valid flip")
+
+
+def _frame_inverse(region, frame, v, d):
+    """Pull a vertex and a district of a frame's image back to its source."""
+    roles, reflect, turns = frame
+    for _ in range(-turns % 3):
+        v = region.rotate(v)
+    if reflect:
+        v = region.reflect(v)
+    return v, {r: c for c, r in roles.items()}[d]
+
+
+def test_builder_records_nested_frame_flips_in_root_labels(pool5):
+    p = pool5[0]
+    region = p.region
+    for outer in FRAMES:
+        for inner in FRAMES:
+            b = _Builder(p)
+            made = []
+
+            def flip_once(sub):
+                v, to = _first_valid_flip(sub.p)
+                sub.flip(v, to, "framed")
+                made.append((v, to))
+
+            def nest(sub):
+                roles, reflect, turns = inner
+                sub.run(flip_once, roles=roles, reflect=reflect, turns=turns)
+
+            roles, reflect, turns = outer
+            b.run(nest, roles=roles, reflect=reflect, turns=turns)
+            v, to = made[0]
+            v, to = _frame_inverse(region, inner, v, to)
+            v, to = _frame_inverse(region, outer, v, to)
+            q = apply_flip(p, v, to)
+            assert b.steps == [
+                RecomStep(untouched_of_flip(p.district(v), to), q.labels)
+            ]
+            assert b.steps[0].note == "framed"
+            assert b.p == q
+            assert b.p.labels == b.steps[-1].after
+
+
+def test_attempt_rolls_back_a_failed_run(pool5):
+    p = pool5[0]
+    b = _Builder(p)
+    v, to = _first_valid_flip(p)
+    b.flip(v, to, "kept")
+    steps, state = list(b.steps), b.p
+    boom = PathError("test", "after one flip")
+
+    def emit_then_fail(sub):
+        sub.flip(*_first_valid_flip(sub.p), "dropped")
+        raise boom
+
+    assert b.attempt(emit_then_fail) is boom
+    assert b.steps == steps and [s.note for s in b.steps] == ["kept"]
+    assert b.p is state
+    # the same inside a reflected frame
+    assert b.attempt(lambda sub: sub.run(emit_then_fail, reflect=True)) is boom
+    assert b.steps == steps and b.p is state
+    assert b.attempt(lambda sub: None) is None
+
+
+def test_first_success_raises_the_first_error(pool5):
+    p = pool5[0]
+    b = _Builder(p)
+    errors = {c: PathError("test", f"candidate {c}") for c in (1, 2, 3)}
+
+    def fail(sub, c):
+        sub.flip(*_first_valid_flip(sub.p), f"candidate {c}")
+        raise errors[c]
+
+    with pytest.raises(PathError) as info:
+        _first_success(b, fail, [(1,), (2,), (3,)])
+    assert info.value is errors[1]
+    assert b.steps == [] and b.p is p
+
+    def second_wins(sub, c):
+        sub.flip(*_first_valid_flip(sub.p), f"candidate {c}")
+        if c != 2:
+            raise errors[c]
+
+    _first_success(b, second_wins, [(1,), (2,), (3,)])
+    assert [s.note for s in b.steps] == ["candidate 2"]

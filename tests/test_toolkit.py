@@ -6,21 +6,17 @@ import random
 
 import pytest
 
-from trirecom import (
+from trirecom import Partition, build_region, flip_valid, ground_state
+from trirecom.lattice import ordering_index
+from trirecom.partition import is_connected, is_cut_vertex
+from trirecom.toolkit import (
     NoShrinkVertex,
-    Partition,
     StructuralError,
     bfs_last_order,
-    build_region,
     build_tower,
     cycle_recombine,
     execute_tower,
     find_shrink_vertex,
-    flip_valid,
-    ground_state,
-    is_connected,
-    is_cut_vertex,
-    ordering_index,
     path_within,
     unwind,
     vertices_enclosed,
