@@ -8,7 +8,9 @@ the top edge and row == col along the bottom edge.
 Vertex sets also have a bitboard form: vertex (col, row) is bit
 col * width + row of a Python int, with width = n + 2, so the six lattice
 directions are the constant shifts +-1, +-width and +-(width + 1) (see
-TriRegion.bit_of).
+TriRegion.bit_of).  Reading a vertex's six neighbor slots out of a bitboard
+gives a 6-bit slot pattern (bit i for slot i, see TriRegion.slot_pattern);
+ONE_ARC tells whether the set slots form one contiguous arc of the cycle.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ DIRECTIONS: tuple[tuple[int, int], ...] = (
 )
 
 N_DIRECTIONS = 6
+
+
+def _runs(pattern: int) -> int:
+    # maximal cyclic runs of set bits in a 6-bit slot pattern
+    return sum(
+        1
+        for i in range(N_DIRECTIONS)
+        if pattern >> i & 1 and not pattern >> (i - 1) % N_DIRECTIONS & 1
+    )
+
+
+#: ONE_ARC[pattern] for a 6-bit slot pattern: whether its set slots form at
+#: most one contiguous arc of the slot cycle (the empty and the full pattern
+#: included).
+ONE_ARC: tuple[bool, ...] = tuple(_runs(pat) <= 1 for pat in range(64))
 
 
 def ordering_index(v: Vertex) -> int:
@@ -77,7 +94,30 @@ class TriRegion:
             frozenset((col, row) for row in range(1, col + 1))
             for col in range(1, n + 1)
         )
+        # _columns_leq[i] is columns 1..i
+        prefix = [frozenset()]
+        for column in self._columns:
+            prefix.append(prefix[-1] | column)
+        self._columns_leq: tuple[frozenset[Vertex], ...] = tuple(prefix)
+        top = [(col, 1) for col in range(1, n + 1)]
+        right = [(n, row) for row in range(2, n + 1)]
+        bottom = [(col, col) for col in range(n - 1, 1, -1)]
+        self._boundary_cycle: tuple[Vertex, ...] = tuple(top + right + bottom)
+        cyc = self._boundary_cycle
+        #: Unordered pairs of consecutive vertices of the boundary cycle.
+        self.boundary_pairs: frozenset[frozenset[Vertex]] = frozenset(
+            frozenset(pair) for pair in zip(cyc, cyc[1:] + cyc[:1])
+        )
         self.faces: tuple[tuple[Vertex, Vertex, Vertex], ...] = self._build_faces()
+        # index of the vertex each vertex's image comes from, under the
+        # reflection and one rotation: image labels[i] = labels[source[i]]
+        reflect_source = [0] * self.num_vertices
+        rotate_source = [0] * self.num_vertices
+        for i, v in enumerate(self.vertices):
+            reflect_source[self.index_of[self.reflect(v)]] = i
+            rotate_source[self.index_of[self.rotate(v)]] = i
+        self.reflect_source: tuple[int, ...] = tuple(reflect_source)
+        self.rotate_source: tuple[int, ...] = tuple(rotate_source)
         # Bitboard layout.  Row 0 and the rows below each column's last
         # vertex are padding, so a shift never wraps one column into the
         # next: AND-ing a shifted mask with a vertex set drops every
@@ -87,6 +127,19 @@ class TriRegion:
             1 << (col * self.width + row) for col, row in self.vertices
         )
         self.bit_of: dict[Vertex, int] = dict(zip(self.vertices, self.bits))
+        self.vertex_at: dict[int, Vertex] = {
+            b.bit_length() - 1: v for v, b in self.bit_of.items()
+        }
+        # the bit of each neighbor slot, 0 for an OUTSIDE slot
+        self._slot_bits: dict[Vertex, tuple[int, ...]] = {
+            v: tuple(0 if u is OUTSIDE else self.bit_of[u] for u in slots)
+            for v, slots in self._slots.items()
+        }
+        full = self.mask_of(self.vertices)
+        #: The slot pattern of each vertex's in-region neighbors.
+        self.region_pattern: dict[Vertex, int] = {
+            v: self.slot_pattern(full, v) for v in self.vertices
+        }
 
     def _build_faces(self) -> tuple[tuple[Vertex, Vertex, Vertex], ...]:
         # Each face is listed with its vertices in clockwise order.
@@ -115,6 +168,19 @@ class TriRegion:
             m |= bit_of[v]
         return m
 
+    def slot_pattern(self, m: int, v: Vertex) -> int:
+        """The 6-bit pattern of v's neighbor slots inside bitboard m: bit i
+        is set iff slot i (clockwise from up) holds a vertex of m."""
+        s0, s1, s2, s3, s4, s5 = self._slot_bits[v]
+        return (
+            (m & s0 and 1)
+            | (m & s1 and 2)
+            | (m & s2 and 4)
+            | (m & s3 and 8)
+            | (m & s4 and 16)
+            | (m & s5 and 32)
+        )
+
     def neighbors_cyclic(self, v: Vertex) -> tuple[Optional[Vertex], ...]:
         """The 6 neighbor slots of v in fixed clockwise order; out-of-region
         slots hold OUTSIDE."""
@@ -132,7 +198,8 @@ class TriRegion:
         return self._columns[i - 1]
 
     def columns_leq(self, i: int) -> frozenset[Vertex]:
-        return frozenset().union(*self._columns[:i])
+        """Vertices of columns 1..i, for i >= 0."""
+        return self._columns_leq[min(i, self.n)]
 
     def is_boundary(self, v: Vertex) -> bool:
         return v in self.boundary
@@ -173,11 +240,7 @@ class TriRegion:
     def boundary_cycle(self) -> tuple[Vertex, ...]:
         """The boundary vertices as one cyclic walk, clockwise from (1, 1):
         top edge, then right edge, then bottom edge."""
-        n = self.n
-        top = [(col, 1) for col in range(1, n + 1)]
-        right = [(n, row) for row in range(2, n + 1)]
-        bottom = [(col, col) for col in range(n - 1, 1, -1)]
-        return tuple(top + right + bottom)
+        return self._boundary_cycle
 
     # -- drawing geometry ---------------------------------------------------
 

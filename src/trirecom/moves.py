@@ -1,17 +1,24 @@
 """Flip and recombination step semantics: validity, application, inversion,
-and lifting flips into recombination steps."""
+and lifting flips into recombination steps.
+
+Two flip checks exist.  flip_valid recomputes the simple connectivity of
+both changed districts and assumes nothing about the partition; it is the
+reference in tests and the check on states the caller has not validated.
+neighborhood_flip_test reads only the vertex's six neighbor slots and is
+exact on any partition whose districts are simply connected, which is the
+route builder's emission-time check.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import Vertex
+from .lattice import ONE_ARC, Vertex
 from .partition import (
     BalanceClass,
     Partition,
     _simply_connected_mask,
     classify,
-    d_neighborhood,
     in_omega,
 )
 
@@ -34,9 +41,12 @@ class RecomStep:
 
 
 def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
-    """Authoritative flip validity, by full recomputation: the shrinking and
-    the growing district must both stay nonempty and simply connected.  Size
-    windows are the caller's concern."""
+    """Flip validity by full recomputation, for any partition: the shrinking
+    and the growing district must both stay nonempty and simply connected.
+    Size windows are the caller's concern.  The reference for
+    neighborhood_flip_test in tests, and the check on states nothing has
+    validated (a flip trial on a speculative state, tower resolution,
+    perfbench's state walks)."""
     frm = p.district(v)
     if frm == to:
         return False
@@ -49,18 +59,25 @@ def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
 
 
 def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
-    """Fast local flip test.  Precondition: the vertex's district and the
-    target district are both simply connected, as in every valid state.
-    Then the flip is valid when the vertex's district has more than one
-    vertex, its own-district neighborhood is one arc of the slot cycle, and
-    its target-district neighborhood is one nonempty arc (tests check that
-    this equals flip_valid on every flip of the n=5 window)."""
+    """Local flip test, from the vertex's six neighbor slots alone.
+    Precondition: the vertex's district and the target district are both
+    simply connected, as in every valid state; then it equals flip_valid
+    (tests check every flip of the n=5 window and of seeded states up to
+    n=32).  The flip is valid when the vertex's district has more than one
+    vertex, its own-district slots form one arc of the slot cycle, and its
+    target-district slots form one nonempty arc.  The route builder checks
+    every flip it emits with this test; its steps start from a validated
+    state, so each flip keeps every district simply connected."""
     frm = p.district(v)
-    if frm == to or p.masks()[frm - 1].bit_count() < 2:
+    if frm == to:
         return False
-    _, own_conn = d_neighborhood(p, v, frm)
-    to_set, to_conn = d_neighborhood(p, v, to)
-    return own_conn and to_conn and bool(to_set)
+    masks = p.masks()
+    own = masks[frm - 1]
+    if not own & (own - 1):  # v is its district's only vertex
+        return False
+    slot_pattern = p.region.slot_pattern
+    target = slot_pattern(masks[to - 1], v)
+    return bool(target) and ONE_ARC[target] and ONE_ARC[slot_pattern(own, v)]
 
 
 def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:

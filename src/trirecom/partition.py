@@ -5,7 +5,11 @@ tricolor triangles, rebalance-case dispatch, and ground-state construction.
 Validity runs on bitboards: each Partition caches one int mask per district,
 with vertex (col, row) at bit col * (n + 2) + row, so a lattice step is a
 constant shift and simple connectivity is a shift-and-mask flood fill plus an
-Euler-characteristic count.
+Euler-characteristic count.  Partitions derived by with_moves or relabeled
+carry their parent's cached masks and district sets, updated by the moves or
+the permutation.  Neighborhood predicates (cut vertex, exposed vertex, arc
+connectivity) read a vertex's 6-bit slot pattern out of one district mask,
+and tricolor faces come from shifted ANDs of the three masks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .lattice import OUTSIDE, TriRegion, Vertex
+from .lattice import ONE_ARC, TriRegion, Vertex
 
 Targets = tuple[int, int, int]
 DISTRICTS = (1, 2, 3)
@@ -163,44 +167,59 @@ class Partition:
         return (m1.bit_count(), m2.bit_count(), m3.bit_count())
 
     def with_moves(self, moves: Iterable[tuple[Vertex, int]]) -> "Partition":
-        """New partition with the given (vertex, new district) reassignments."""
+        """New partition with the given (vertex, new district) reassignments.
+        Cached masks and district sets are carried over, updated move by
+        move."""
+        region = self.region
         labels = list(self.labels)
+        masks = None if self._masks is None else [0, *self._masks]
+        sets = None if self._districts is None else [None, *self._districts]
         for v, d in moves:
-            labels[self.region.index_of[v]] = d
-        return Partition(self.region, self.targets, tuple(labels))
+            i = region.index_of[v]
+            if masks is not None:
+                bit = region.bits[i]
+                masks[labels[i]] ^= bit
+                masks[d] |= bit
+            if sets is not None and d != labels[i]:
+                sets[labels[i]] = sets[labels[i]] - {v}
+                sets[d] = sets[d] | {v}
+            labels[i] = d
+        q = Partition(region, self.targets, tuple(labels))
+        if masks is not None:
+            q._masks = (masks[1], masks[2], masks[3])
+        if sets is not None:
+            q._districts = (sets[1], sets[2], sets[3])
+        return q
 
     def with_labels(self, labels: tuple[int, ...]) -> "Partition":
         return Partition(self.region, self.targets, labels)
 
     def relabeled(self, perm: dict[int, int]) -> "Partition":
-        """Apply a district relabeling: old label d becomes perm[d].  Targets
-        move with their districts."""
-        labels = tuple(perm[d] for d in self.labels)
-        targets = [0, 0, 0]
-        for d in DISTRICTS:
-            targets[perm[d] - 1] = self.targets[d - 1]
-        return Partition(self.region, tuple(targets), labels)
+        """Apply a district relabeling: old label d becomes perm[d].  Targets,
+        cached masks and cached district sets move with their districts."""
+        inv = {new: old for old, new in perm.items()}
+        labels = tuple(map((0, perm[1], perm[2], perm[3]).__getitem__, self.labels))
+        targets = tuple(self.targets[inv[d] - 1] for d in DISTRICTS)
+        q = Partition(self.region, targets, labels)
+        if self._masks is not None:
+            q._masks = tuple(self._masks[inv[d] - 1] for d in DISTRICTS)
+        if self._districts is not None:
+            q._districts = tuple(self._districts[inv[d] - 1] for d in DISTRICTS)
+        return q
 
     def reflected(self) -> "Partition":
         """The mirror image under the column-fixing reflection."""
-        region = self.region
-        labels = [0] * region.num_vertices
-        for v, lab in zip(region.vertices, self.labels):
-            labels[region.index_of[region.reflect(v)]] = lab
-        return Partition(region, self.targets, tuple(labels))
+        source = self.region.reflect_source
+        labels = tuple(map(self.labels.__getitem__, source))
+        return Partition(self.region, self.targets, labels)
 
     def rotated(self, turns: int = 1) -> "Partition":
         """The image under `turns` third-of-a-turn rotations."""
-        region = self.region
-        labels = list(self.labels)
+        source = self.region.rotate_source
+        labels = self.labels
         for _ in range(turns % 3):
-            out = [0] * region.num_vertices
-            for v in region.vertices:
-                out[region.index_of[region.rotate(v)]] = labels[
-                    region.index_of[v]
-                ]
-            labels = out
-        return Partition(region, self.targets, tuple(labels))
+            labels = tuple(map(labels.__getitem__, source))
+        return Partition(self.region, self.targets, labels)
 
     def __eq__(self, other) -> bool:
         return (
@@ -228,15 +247,17 @@ def is_valid(p: Partition) -> bool:
     return all(_simply_connected_mask(m, w) for m in p.masks())
 
 
+def in_window(p: Partition) -> bool:
+    """Every district size within one of its target (validity not checked)."""
+    return all(abs(sz - k) <= 1 for sz, k in zip(p.sizes(), p.targets))
+
+
 def classify(p: Partition) -> BalanceClass:
     """Balance classification; OUTSIDE_OMEGA on any validity or size-window
     violation."""
-    sizes = p.sizes()
-    if any(abs(sz - k) > 1 for sz, k in zip(sizes, p.targets)):
+    if not in_window(p) or not is_valid(p):
         return BalanceClass.OUTSIDE_OMEGA
-    if not is_valid(p):
-        return BalanceClass.OUTSIDE_OMEGA
-    if sizes == p.targets:
+    if p.sizes() == p.targets:
         return BalanceClass.BALANCED
     return BalanceClass.NEARLY_BALANCED
 
@@ -245,29 +266,31 @@ def in_omega(p: Partition) -> bool:
     return classify(p) is not BalanceClass.OUTSIDE_OMEGA
 
 
+def _slots_in(p: Partition, v: Vertex, d: int) -> int:
+    """The slot pattern of v's district-d neighbors (see
+    lattice.TriRegion.slot_pattern)."""
+    return p.region.slot_pattern(p.masks()[d - 1], v)
+
+
 def d_neighborhood(
     p: Partition, v: Vertex, d: int
 ) -> tuple[frozenset[Vertex], bool]:
     """(N(v) in district d, whether that set is one contiguous arc of the
     6-slot cycle).  The empty set is vacuously connected."""
+    pattern = _slots_in(p, v, d)
     slots = p.region.neighbors_cyclic(v)
-    hits = [u is not OUTSIDE and p.district(u) == d for u in slots]
-    members = frozenset(u for u, h in zip(slots, hits) if h)
-    # count cyclic blocks of consecutive hits
-    blocks = sum(
-        1 for i in range(6) if hits[i] and not hits[(i - 1) % 6]
-    )
-    return members, blocks <= 1
+    members = frozenset(slots[i] for i in range(6) if pattern >> i & 1)
+    return members, ONE_ARC[pattern]
 
 
 def own_neighborhood_connected(p: Partition, v: Vertex) -> bool:
-    return d_neighborhood(p, v, p.district(v))[1]
+    return ONE_ARC[_slots_in(p, v, p.district(v))]
 
 
 def is_cut_vertex(p: Partition, v: Vertex) -> bool:
     """True iff removing v disconnects its district, equivalently its
     own-district neighborhood is not one contiguous arc."""
-    return not own_neighborhood_connected(p, v)
+    return not ONE_ARC[_slots_in(p, v, p.district(v))]
 
 
 def exposed_vertices(p: Partition, d: int) -> frozenset[Vertex]:
@@ -282,8 +305,8 @@ def exposed_vertices(p: Partition, d: int) -> frozenset[Vertex]:
 
 
 def is_exposed(p: Partition, v: Vertex) -> bool:
-    d = p.district(v)
-    return any(p.district(u) != d for u in p.region.neighbors(v))
+    """True iff some neighbor of v lies in another district."""
+    return _slots_in(p, v, p.district(v)) != p.region.region_pattern[v]
 
 
 @dataclass(frozen=True)
@@ -303,15 +326,45 @@ class TricolorTriangle:
 
 
 def tricolor_triangles(p: Partition) -> list[TricolorTriangle]:
+    """The tricolor faces in region.faces order.  Each face is anchored at
+    its first vertex a = (col, row): the right face (a, (col+1, row),
+    (col+1, row+1)) and the down face (a, (col+1, row+1), (col, row+1)).
+    One AND of three shifted masks per labelling of a face's vertices finds
+    every anchor of faces with that labelling."""
+    region = p.region
+    w = region.width
+    w1 = w + 1
+    m = (None, *p.masks())
+    right_cw = right_ccw = down_cw = down_ccw = 0
+    # the even permutations read 1, 2, 3 clockwise around the face
+    for x, y, z, even in (
+        (1, 2, 3, True), (2, 3, 1, True), (3, 1, 2, True),
+        (1, 3, 2, False), (3, 2, 1, False), (2, 1, 3, False),
+    ):
+        right = m[x] & m[y] >> w & m[z] >> w1
+        down = m[x] & m[y] >> w1 & m[z] >> 1
+        if even:
+            right_cw |= right
+            down_cw |= down
+        else:
+            right_ccw |= right
+            down_ccw |= down
     out = []
-    for face in p.region.faces:
-        labs = tuple(p.district(v) for v in face)
-        if len(set(labs)) == 3:
-            # rotate so district 1 comes first, read the clockwise order
-            i = labs.index(1)
-            cw = labs[i:] + labs[:i]
-            chir = "cw" if cw == (1, 2, 3) else "ccw"
-            out.append(TricolorTriangle(face, chir))
+    anchors = right_cw | right_ccw | down_cw | down_ccw
+    while anchors:
+        low = anchors & -anchors
+        anchors ^= low
+        col, row = a = region.vertex_at[low.bit_length() - 1]
+        if low & (right_cw | right_ccw):
+            out.append(TricolorTriangle(
+                (a, (col + 1, row), (col + 1, row + 1)),
+                "cw" if low & right_cw else "ccw",
+            ))
+        if low & (down_cw | down_ccw):
+            out.append(TricolorTriangle(
+                (a, (col + 1, row + 1), (col, row + 1)),
+                "cw" if low & down_cw else "ccw",
+            ))
     return out
 
 

@@ -7,9 +7,17 @@ districts 2 and 3 meet the boundary, and finally shuffling districts 2 and 3
 into block position.  Two such routes are joined through the block states.
 
 Each step is validated once, when it is emitted, in the frame of the
-procedure that made it, then recorded in root labels.  The engine never
-searches the state space: when a structural expectation of a branch fails, a
-PathError naming the branch is raised instead.
+procedure that made it, then recorded in root labels.  The builder's
+partition is always a valid state, so a flip is checked by the local
+neighborhood test (moves.neighborhood_flip_test) plus the new state's size
+window; multi-vertex steps go through apply_recom, which classifies the whole
+state.  Candidate scans and flip guards on the builder's state use the local
+test too.  The full recomputation moves.flip_valid remains for the flip
+trial on a speculative state in _interior_valid and inside toolkit's towers
+and unwinding.  verify_trace re-checks every returned route from labels
+alone.  The engine never searches the state space: when a structural
+expectation of a branch fails, a PathError naming the branch is raised
+instead.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .moves import (
     apply_flip,
     apply_recom,
     flip_valid,
+    neighborhood_flip_test,
     reverse,
     untouched_of_flip,
 )
@@ -38,6 +47,7 @@ from .partition import (
     districts_adjacent,
     ground_state,
     in_omega,
+    in_window,
     is_cut_vertex,
     is_exposed,
     tricolor_triangles,
@@ -115,19 +125,21 @@ class _Builder:
     def _record(self, q: Partition, untouched: int, note: str) -> None:
         labels, vmap, dmap = q.labels, self.vmap, self.dmap
         if vmap is not None:
-            labels = tuple(dmap[labels[j]] for j in vmap)
+            labels = tuple(map(dmap.__getitem__, map(labels.__getitem__, vmap)))
         elif dmap != (0, 1, 2, 3):
-            labels = tuple(dmap[d] for d in labels)
+            labels = tuple(map(dmap.__getitem__, labels))
         self.steps.append(RecomStep(dmap[untouched], labels, note))
         self.p = q
 
     def flip(self, v: Vertex, to: int, note: str) -> None:
+        # self.p is valid, so the local test decides validity exactly and
+        # the flipped state needs only its size window checked
         if v in self.frozen:
             raise PathError(note, f"flip would reassign frozen vertex {v}")
-        if not flip_valid(self.p, v, to):
+        if not neighborhood_flip_test(self.p, v, to):
             raise PathError(note, f"flip {v} -> {to} is not valid")
         q = apply_flip(self.p, v, to)
-        if not in_omega(q):
+        if not in_window(q):
             raise PathError(note, f"flip {v} -> {to} leaves the window")
         self._record(q, untouched_of_flip(self.p.district(v), to), note)
 
@@ -281,9 +293,9 @@ def _removables(p: Partition, cands) -> list[tuple[Vertex, int]]:
     for v in sorted(cands, key=ordering_index):
         if not is_exposed(p, v) or is_cut_vertex(p, v):
             continue
-        if flip_valid(p, v, 3):
+        if neighborhood_flip_test(p, v, 3):
             out.append((v, 3))
-        elif flip_valid(p, v, 2):
+        elif neighborhood_flip_test(p, v, 2):
             out.append((v, 2))
     return out
 
@@ -416,7 +428,7 @@ def _advance_pair(b: _Builder, i: int, w: Vertex, v: Vertex) -> None:
     p = b.p
     region = p.region
     if region.is_boundary(v):
-        if flip_valid(p, v, 1):
+        if neighborhood_flip_test(p, v, 1):
             b.flip(v, 1, "column-advance")
             return
         x, y = (i + 1, i + 1), (i + 1, i)
@@ -428,7 +440,7 @@ def _advance_pair(b: _Builder, i: int, w: Vertex, v: Vertex) -> None:
         b.flip(x, 2, "column-advance")
         b.flip(v, 1, "column-advance")
         return
-    if flip_valid(p, v, 1):
+    if neighborhood_flip_test(p, v, 1):
         b.flip(v, 1, "column-advance")
         return
     x = (i - 1, v[1] - 1)
@@ -490,10 +502,7 @@ def _rebalance_frozen(b: _Builder, i: int) -> None:
 def _case_a(b: _Builder, i: int) -> None:
     p = b.p
     region = p.region
-    cyc = region.boundary_cycle()
-    consecutive = set()
-    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
-        consecutive.add(frozenset((u, w)))
+    consecutive = region.boundary_pairs
     cand = []
     for a in sorted(p.district_set(2) & region.boundary, key=ordering_index):
         for w in region.neighbors(a):
@@ -578,7 +587,7 @@ def _case_a_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
             b.flip(v, 2, note)
             b.flip(a, 3, note)
             return
-        if flip_valid(p, d, 3):
+        if neighborhood_flip_test(p, d, 3):
             b.flip(d, 3, note)
             return
         b.flip(d, 2, note)
@@ -600,7 +609,7 @@ def _case_a_invalid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
         raise PathError(
             "boundary-pair/2-discon", "forced arc labeling absent"
         )
-    if flip_valid(p, d, 2):
+    if neighborhood_flip_test(p, d, 2):
         b.flip(d, 2, note)
         b.flip(a, 3, note)
         return
@@ -790,7 +799,7 @@ def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
     if not d_neighborhood(p, c, 3)[1]:
         _p1_pocket(b, i, c)
         return
-    if flip_valid(p, c, 3):
+    if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
     comps = connected_components(region, p.district_set(1) - {v, c})
@@ -809,7 +818,7 @@ def _interior_valid_p3(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
     """v touches district 3: flip it straight in, or resolve the detour."""
     note = "interior-pair"
     p = b.p
-    if flip_valid(p, v, 3):
+    if neighborhood_flip_test(p, v, 3):
         b.flip(v, 3, note)
         return
     if b.attempt(_p1_pocket, i, v) is None:
@@ -935,7 +944,7 @@ def _interior_split_left(
     note = "interior-pair"
     p = b.p
     region = p.region
-    if flip_valid(p, c, 3):
+    if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
     if not d_neighborhood(p, c, 3)[1]:
@@ -1022,12 +1031,12 @@ def _interior_split_one(
     note = "interior-pair"
     p = b.p
     region = p.region
-    if flip_valid(p, e, 2):
+    if neighborhood_flip_test(p, e, 2):
         b.flip(e, 2, note)
         b.flip(a, 3, note)
         return
     if d_neighborhood(p, e, 1)[1]:
-        if flip_valid(p, e, 3):
+        if neighborhood_flip_test(p, e, 3):
             b.flip(e, 3, note)
             return
         raise PathError(note, "alternation gave no target for e")
@@ -1070,7 +1079,7 @@ def _interior_split_endgame(
     if to == 3:
         b.flip(v1, 3, note)
         return
-    if flip_valid(p, x, 3):
+    if neighborhood_flip_test(p, x, 3):
         b.flip(x, 3, note)
         b.flip(v1, 2, note)
         return
@@ -1096,11 +1105,11 @@ def _interior_split_two(
     note = "interior-pair"
     p = b.p
     region = p.region
-    if flip_valid(p, e, 2):
+    if neighborhood_flip_test(p, e, 2):
         b.flip(e, 2, note)
         _interior_goal(b, i, a, bb, depth)
         return
-    if e2 not in region.columns_leq(i) and flip_valid(p, e2, 2):
+    if e2 not in region.columns_leq(i) and neighborhood_flip_test(p, e2, 2):
         b.flip(e2, 2, note)
         _interior_goal(b, i, a, bb, depth)
         return
@@ -1132,7 +1141,7 @@ def _interior_split_two(
         b.flip(a, 3, note)
         return
     # all of s1 joined district 2; e is no longer a cut vertex
-    if flip_valid(b.p, e, 3):
+    if neighborhood_flip_test(b.p, e, 3):
         b.flip(e, 3, note)
         return
     b.flip(e, 2, note)
@@ -1332,7 +1341,7 @@ def _case_c_dispatch(
     d, dprime, e, e_run, f = _case_c_anatomy(p, a, bbv, c)
     left = region.columns_leq(i)
     if e in left:
-        if flip_valid(p, c, 3):
+        if neighborhood_flip_test(p, c, 3):
             b.flip(c, 3, note)
             return
         if not d_neighborhood(p, c, 3)[1]:
@@ -1346,14 +1355,14 @@ def _case_c_dispatch(
             raise PathError(note, "cut-off component of c holds the anchor")
         _case_c_ccut(b, i, a, bbv, c, e, d, away[0])
         return
-    if flip_valid(p, e, 2):
+    if neighborhood_flip_test(p, e, 2):
         b.flip(e, 2, note)
         _case_c_post(b, i, a, bbv, c, depth)
         return
     if d_neighborhood(p, e, 1)[1]:
         if region.is_boundary(e):
             raise PathError(note, "boundary e with a connected 1-neighborhood")
-        if flip_valid(p, e, 3):
+        if neighborhood_flip_test(p, e, 3):
             b.flip(e, 3, note)
             return
         raise PathError(note, "alternation gave no target for e")
@@ -1366,7 +1375,7 @@ def _case_c_dispatch(
             raise PathError(note, "cut-off component of e holds the anchor")
         _case_c_ecut(b, i, a, bbv, c, e, d, dprime, away[0], depth)
         return
-    if flip_valid(p, c, 3):
+    if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
     if not d_neighborhood(p, c, 3)[1]:
@@ -1455,7 +1464,7 @@ def _case_c_ecut(
             p, cyc, a, e, keep=dprime, note="cycle-recombine"
         )
         b.extend([step])
-        if flip_valid(b.p, e, 3):
+        if neighborhood_flip_test(b.p, e, 3):
             b.flip(e, 3, note)
             return
         b.flip(e, 2, note)
@@ -1469,7 +1478,7 @@ def _case_c_ecut(
         if outcome == "balanced":
             return
         if outcome == "s1-exhausted":
-            if flip_valid(b.p, e, 3):
+            if neighborhood_flip_test(b.p, e, 3):
                 b.flip(e, 3, note)
                 return
             b.flip(e, 2, note)
@@ -1510,7 +1519,7 @@ def _case_c_post(
     note = "interior-3"
     p = b.p
     region = p.region
-    if flip_valid(p, a, 3):
+    if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, note)
         return
     d, dbar, ebar, e_run, f = _case_c_anatomy(p, a, bbv, c)
@@ -1533,7 +1542,7 @@ def _case_c_post(
         b.flip(v, 1, note)
         _case_c_dispatch(b, i, a, bbv, c, depth + 1)
         return
-    if flip_valid(p, dbar, 3):
+    if neighborhood_flip_test(p, dbar, 3):
         b.flip(dbar, 3, note)
         return
     b.flip(dbar, 1, note)
@@ -1547,10 +1556,7 @@ def _case_d(b: _Builder, i: int, depth: int = 0) -> None:
     region = p.region
     if depth > 8:
         raise PathError("separated", "case recursion exceeded its bound")
-    cyc = region.boundary_cycle()
-    consecutive = set()
-    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
-        consecutive.add(frozenset((u, w)))
+    consecutive = region.boundary_pairs
     left = region.columns_leq(i)
     cand = []
     for a in sorted(p.district_set(1) & region.boundary, key=ordering_index):
@@ -1583,7 +1589,7 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -> None
     note = "separated"
     p = b.p
     region = p.region
-    if flip_valid(p, a, 3):
+    if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, note)
         return
     if not d_neighborhood(p, a, 3)[1]:
@@ -1638,7 +1644,7 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
     if y is None or z is None or p.district(z) != 2:
         raise PathError(note, "wedge scan found no handoff pair")
     if d_neighborhood(p, y, 1)[1]:
-        if flip_valid(p, y, 3):
+        if neighborhood_flip_test(p, y, 3):
             b.flip(y, 3, note)
             return
         b.flip(y, 2, note)
@@ -1667,7 +1673,7 @@ def _case_d_resume_one(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -
     if districts_adjacent(p, 2, 3):
         _case_redispatch(b, i, depth + 1)
         return
-    if flip_valid(p, a, 3):
+    if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, "separated")
         return
     c = _sole_common(region, a, bv)
@@ -1991,7 +1997,7 @@ def _nb_junction(b: _Builder, a: Vertex, bv: Vertex, depth: int) -> None:
     note = "restore-balance"
     p = b.p
     region = p.region
-    if flip_valid(p, a, 3):
+    if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, note)
         return
     slots = region.neighbors_cyclic(a)
@@ -2162,7 +2168,7 @@ def _nb_tric(b: _Builder, depth: int) -> None:
         for t in tris
     ]
     for av, bv3, cv2 in info:
-        if flip_valid(p, av, 3):
+        if neighborhood_flip_test(p, av, 3):
             b.flip(av, 3, note)
             return
     for av, bv3, cv2 in info:
@@ -2237,7 +2243,7 @@ def _nb_cmach(
     if len(inside) != 1:
         raise PathError(note, f"expected one enclosed component, got {len(inside)}")
     s1 = inside[0]
-    if flip_valid(p, cv, 3):
+    if neighborhood_flip_test(p, cv, 3):
         b.flip(cv, 3, note)
         v, to = find_shrink_vertex(b.p, s1, (2, 3))
         b.flip(v, to, note)
@@ -2275,7 +2281,7 @@ def _nb_cmach(
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
-        if flip_valid(b.p, av, 3):
+        if neighborhood_flip_test(b.p, av, 3):
             b.flip(av, 3, note)
             return
         _nb_aconn(b, av)
@@ -2334,26 +2340,6 @@ def _as_trace(p: Partition, steps: list[RecomStep]) -> Trace:
     return trace
 
 
-def increase_column(p: Partition, i: int) -> Trace:
-    """Add one column-i vertex to the anchor district (role 1), leaving the
-    partition balanced or oversized by one there."""
-    _check_instance(p)
-    if classify(p) is not BalanceClass.BALANCED:
-        raise PathError("column-advance", "partition is not balanced")
-    b = _Builder(p)
-    b.run(_advance_column, i, roles=_corner_roles(p))
-    return _as_trace(p, b.steps)
-
-
-def rebalance(p: Partition, i: int) -> Trace:
-    """Restore balance after a column advance, never touching anchor-district
-    vertices in columns <= i."""
-    _check_instance(p)
-    b = _Builder(p)
-    b.run(_rebalance_roles, i, roles=_corner_roles(p))
-    return _as_trace(p, b.steps)
-
-
 def sweep(p: Partition) -> Trace:
     """Drive a balanced partition until the anchor district is nestled at a
     column: C_{<i} inside it and it inside C_{<=i}."""
@@ -2369,6 +2355,8 @@ def finish_ground(p: Partition) -> Trace:
     """From a post-sweep partition, reach the block state whose districts
     appear in role order along the vertex ordering."""
     _check_instance(p)
+    if not in_omega(p):
+        raise PathError("block-finish", "partition is not in the window")
     b = _Builder(p)
     b.run(_finish_std, roles=_corner_roles(p))
     return _as_trace(p, b.steps)

@@ -2,9 +2,13 @@
 unwinding two non-adjacent arms, BFS-last orderings, cycle recombination,
 towers, and exact cycle-interior computation.
 
-Every procedure validates each move it emits with the authoritative flip
-test; a violated structural guarantee raises StructuralError rather than
-producing an unverified step.
+Every procedure validates each move it emits; a violated structural
+guarantee raises StructuralError rather than producing an unverified step.
+find_shrink_vertex uses the local neighborhood flip test and so needs a
+partition whose districts are simply connected: the route builder's state,
+or an unwinding state reached from one by such checked flips.  Towers and
+the paired flip of an unwinding round re-check their flips on intermediate
+states with the full recomputation, flip_valid.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ from __future__ import annotations
 from collections import deque
 
 from .lattice import OUTSIDE, TriRegion, Vertex, ordering_index
-from .moves import RecomStep, apply_flip, flip_valid, lift_flip
+from .moves import (
+    RecomStep,
+    apply_flip,
+    flip_valid,
+    lift_flip,
+    neighborhood_flip_test,
+)
 from .partition import Partition, component_of, is_cut_vertex, is_exposed
 
 
@@ -34,13 +44,14 @@ def find_shrink_vertex(
     """The first vertex of `subset` (ascending ordering index) admitting a
     valid flip to a district in `prefer` (tried in order per vertex), as
     (vertex, target).  Candidates are exposed non-cut vertices of their own
-    district; raises NoShrinkVertex when none qualifies."""
+    district; raises NoShrinkVertex when none qualifies.  Every district of
+    p must be simply connected (the local flip test's precondition)."""
     for v in sorted(subset, key=ordering_index):
         if not is_exposed(p, v) or is_cut_vertex(p, v):
             continue
         own = p.district(v)
         for to in prefer:
-            if to != own and flip_valid(p, v, to):
+            if to != own and neighborhood_flip_test(p, v, to):
                 return v, to
     raise NoShrinkVertex(
         f"no flippable vertex in a set of {len(set(subset))} "

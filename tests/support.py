@@ -1,5 +1,6 @@
 """Shared test helpers: random state samplers, boundary-run utilities, and the
-breadth-first reference definition of simple connectivity."""
+reference definitions of simple connectivity (breadth-first search) and of
+tricolor triangles (a scan over every face)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from trirecom import (
     in_omega,
 )
 from trirecom.partition import (
+    TricolorTriangle,
     connected_components,
     is_connected,
     is_simply_connected,
@@ -41,6 +43,29 @@ def bfs_is_simply_connected(region, vset) -> bool:
         comp & region.boundary
         for comp in connected_components(region, complement)
     )
+
+
+def scan_tricolor_triangles(p: Partition) -> list[TricolorTriangle]:
+    """Reference for partition.tricolor_triangles: every face of
+    region.faces, in order, whose three vertices lie in three districts;
+    chirality 'cw' when labels 1, 2, 3 read clockwise around the face."""
+    out = []
+    for face in p.region.faces:
+        labs = tuple(p.district(v) for v in face)
+        if len(set(labs)) == 3:
+            # rotate so district 1 comes first, read the clockwise order
+            i = labs.index(1)
+            cw = labs[i:] + labs[:i]
+            chir = "cw" if cw == (1, 2, 3) else "ccw"
+            out.append(TricolorTriangle(face, chir))
+    return out
+
+
+def balanced_targets(n: int) -> tuple[int, int, int]:
+    """Targets as equal as possible, the larger ones last."""
+    total = n * (n + 1) // 2
+    q, r = divmod(total, 3)
+    return tuple(q + (i >= 3 - r) for i in range(3))
 
 
 def random_omega_state(region, targets, rng: random.Random, attempts: int = 300):

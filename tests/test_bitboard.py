@@ -1,13 +1,13 @@
-"""Bitboard validity: the vertex-to-bit layout, the simple-connectivity kernel
-against the breadth-first reference, and the per-district masks cached by
-Partition."""
+"""Bitboard validity: the vertex-to-bit layout, slot patterns, the
+simple-connectivity kernel against the breadth-first reference, and the
+per-district masks cached by Partition and carried to derived partitions."""
 
 import random
 
 import pytest
 
-from trirecom import build_region
-from trirecom.lattice import DIRECTIONS
+from trirecom import Partition, build_region
+from trirecom.lattice import DIRECTIONS, ONE_ARC
 from trirecom.partition import is_connected, is_simply_connected
 from trirecom.partition import _simply_connected_mask
 
@@ -31,6 +31,30 @@ def test_lattice_steps_are_constant_shifts():
                 # an off-region step lands on a padding bit, never on a vertex
                 expected = region.bit_of[slot] if slot is not None else 0
                 assert moved & full == expected
+
+
+def test_one_arc_table_counts_cyclic_runs():
+    for pattern in range(64):
+        slots = [pattern >> i & 1 for i in range(6)]
+        # a run starts at each set slot whose predecessor is clear
+        runs = sum(1 for i in range(6) if slots[i] and not slots[i - 1])
+        assert ONE_ARC[pattern] == (runs <= 1)
+    assert ONE_ARC[0] and ONE_ARC[63] and not ONE_ARC[0b010101]
+
+
+def test_slot_pattern_reads_the_neighbor_slots():
+    region = build_region(6)
+    rng = random.Random(66)
+    for _ in range(200):
+        vset = {v for v in region.vertices if rng.random() < 0.5}
+        m = region.mask_of(vset)
+        for v in region.vertices:
+            expected = sum(
+                1 << i
+                for i, u in enumerate(region.neighbors_cyclic(v))
+                if u is not None and u in vset
+            )
+            assert region.slot_pattern(m, v) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -128,3 +152,33 @@ def test_partition_masks_and_sizes_follow_the_labels(n, targets):
             for _ in range(3)
         ]
         _check_masks(p.with_moves(moves))
+
+
+@pytest.mark.parametrize("n, targets", [(5, (5, 5, 5)), (16, (45, 45, 46))])
+def test_carried_masks_and_districts_equal_rebuilt_ones(n, targets):
+    region = build_region(n)
+    rng = random.Random(77 + n)
+    verts = region.vertices
+    for _ in range(20):
+        p = random_omega_state(region, targets, rng)
+        p.masks()
+        p.districts()
+        # a chain of derived partitions, each from a parent with cached masks
+        # and district sets
+        for _ in range(10):
+            if rng.random() < 0.3:
+                perm = dict(zip((1, 2, 3), rng.sample((1, 2, 3), 3)))
+                q = p.relabeled(perm)
+            else:
+                moves = [
+                    (verts[rng.randrange(len(verts))], rng.randrange(1, 4))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                q = p.with_moves(moves)
+            # carried, not rebuilt on demand
+            assert q._masks is not None and q._districts is not None
+            rebuilt = Partition(region, q.targets, q.labels)
+            assert q.masks() == rebuilt.masks()
+            assert q.sizes() == rebuilt.sizes()
+            assert q.districts() == rebuilt.districts()
+            p = q

@@ -23,7 +23,7 @@ from trirecom.moves import (
     untouched_of_flip,
 )
 
-from support import bfs_is_simply_connected, random_omega_state
+from support import balanced_targets, bfs_is_simply_connected, random_omega_state
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,48 @@ def test_neighborhood_test_equals_flip_valid_on_the_n5_window(omega5):
                 cases += 1
                 assert neighborhood_flip_test(p, v, to) == flip_valid(p, v, to)
     assert cases == 99_180
+
+
+def _compare_every_flip(p):
+    """(flips compared, valid flips); asserts the local test equals the full
+    recomputation on every flip of p."""
+    cases = valid = 0
+    for v in p.region.vertices:
+        for to in (1, 2, 3):
+            if to == p.district(v):
+                continue
+            expected = flip_valid(p, v, to)
+            assert neighborhood_flip_test(p, v, to) == expected, (p.labels, v, to)
+            cases += 1
+            valid += expected
+    return cases, valid
+
+
+@pytest.mark.parametrize("n, states", [(6, 60), (16, 30), (24, 15), (32, 8)])
+def test_neighborhood_test_equals_flip_valid_on_walk_states(n, states):
+    region = build_region(n)
+    targets = balanced_targets(n)
+    rng = random.Random(6100 + n)
+    cases = valid = 0
+    for k in range(states):
+        # walks of growing length, so shapes range from near-block to ragged
+        p = random_omega_state(region, targets, rng, attempts=(k + 1) * 40 * n)
+        c, v = _compare_every_flip(p)
+        cases += c
+        valid += v
+    assert cases == states * 2 * region.num_vertices
+    assert 0 < valid < cases
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("targets", [(7, 7, 7), (6, 7, 8)])
+def test_neighborhood_test_equals_flip_valid_on_n6_windows(targets):
+    from trirecom.oracle import enumerate_omega
+
+    cases = 0
+    for p in enumerate_omega(build_region(6), targets, slack=1):
+        cases += _compare_every_flip(p)[0]
+    assert cases > 1_000_000
 
 
 def test_lift_flip_records_untouched_district(pool5):

@@ -24,7 +24,13 @@ from trirecom.partition import (
 )
 from trirecom.partition import is_exposed, own_neighborhood_connected
 
-from support import random_connected_subset, random_omega_state
+from support import (
+    balanced_targets,
+    random_connected_subset,
+    random_interior_tripartition,
+    random_omega_state,
+    scan_tricolor_triangles,
+)
 
 
 def _bfs_connected(region, vset):
@@ -212,6 +218,33 @@ def test_tricolor_triangles_have_three_districts(pool5):
             assert t.chirality == ("cw" if labs[i:] + labs[:i] == (1, 2, 3) else "ccw")
             for d in (1, 2, 3):
                 assert p.district(t.vertex_in(p, d)) == d
+
+
+def test_tricolor_triangles_equal_the_face_scan_on_the_n5_window(omega5):
+    found = 0
+    for p in omega5:
+        faces = tricolor_triangles(p)
+        assert faces == scan_tricolor_triangles(p)
+        found += len(faces)
+    assert found > 2000
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_tricolor_triangles_equal_the_face_scan_on_seeded_states(n):
+    region = build_region(n)
+    rng = random.Random(8200 + n)
+    chiralities = set()
+    for k in range(20):
+        p = random_omega_state(
+            region, balanced_targets(n), rng, attempts=(k + 1) * 30 * n
+        )
+        faces = tricolor_triangles(p)
+        assert faces == scan_tricolor_triangles(p)
+        chiralities.update(t.chirality for t in faces)
+        q = random_interior_tripartition(region, rng)
+        if q is not None:
+            assert tricolor_triangles(q) == scan_tricolor_triangles(q)
+    assert chiralities == {"cw", "ccw"}
 
 
 def test_districts_adjacent(pool5):

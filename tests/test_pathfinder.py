@@ -89,6 +89,16 @@ def test_sweep_and_finish_reach_a_block_state(pool5):
         assert final.labels in blocks
 
 
+def test_finish_ground_rejects_a_state_outside_the_window():
+    # the step builder's local flip test needs a valid starting state
+    region = build_region(5)
+    block = ground_state(region, (5, 5, 5), (1, 2, 3))
+    split = block.with_moves([((1, 1), 3)])  # district 3 in two pieces
+    assert not in_omega(split)
+    with pytest.raises(PathError, match="block-finish: partition is not in"):
+        finish_ground(split)
+
+
 def test_balance_nearly_restores_balance(pool5):
     repaired = 0
     for p in pool5:
@@ -278,6 +288,32 @@ def test_builder_records_nested_frame_flips_in_root_labels(pool5):
             assert b.steps[0].note == "framed"
             assert b.p == q
             assert b.p.labels == b.steps[-1].after
+
+
+def test_builder_flip_accepts_exactly_the_valid_window_flips(pool5):
+    # the builder checks a flip locally plus the size window; the reference
+    # is the full recomputation plus classification of the flipped state
+    outcomes = {"ok": 0, "is not valid": 0, "leaves the window": 0}
+    for p in pool5[:20]:
+        for v in p.region.vertices:
+            for to in (1, 2, 3):
+                if to == p.district(v):
+                    continue
+                b = _Builder(p)
+                q = apply_flip(p, v, to)
+                if flip_valid(p, v, to) and in_omega(q):
+                    b.flip(v, to, "check")
+                    assert b.p == q and len(b.steps) == 1
+                    outcomes["ok"] += 1
+                    continue
+                expected = (
+                    "leaves the window" if flip_valid(p, v, to) else "is not valid"
+                )
+                with pytest.raises(PathError, match=expected):
+                    b.flip(v, to, "check")
+                assert b.p is p and b.steps == []
+                outcomes[expected] += 1
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_attempt_rolls_back_a_failed_run(pool5):
