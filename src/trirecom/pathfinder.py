@@ -17,7 +17,9 @@ trial on a speculative state in _interior_valid and inside toolkit's towers
 and unwinding.  verify_trace re-checks every returned route from labels
 alone.  The engine never searches the state space: when a structural
 expectation of a branch fails, a PathError naming the branch is raised
-instead.
+instead.  Sub-cases that no sampled state reached were deleted; their call
+sites raise such a PathError naming the deleted sub-case (the README's case
+map lists them).
 """
 
 from __future__ import annotations
@@ -696,82 +698,12 @@ def _interior_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
     if [u for u in region.neighbors(v) if p.district(u) == 2] != [a]:
         raise PathError(note, "pivot is not the sole district-2 neighbor")
     if any(p.district(u) == 3 for u in region.neighbors(v)):
-        _interior_valid_p3(b, i, a, v)
-    elif not region.is_boundary(v):
-        _interior_valid_inner(b, i, a, v)
-    elif region.is_boundary(a):
-        _interior_valid_edge(b, i, a, v)
-    else:
+        raise PathError(note, "deleted sub-case: partner touches district 3")
+    if not region.is_boundary(v):
+        raise PathError(note, "deleted sub-case: interior partner of the pivot")
+    if not region.is_boundary(a):
         raise PathError(note, "boundary vertex with interior pivot")
-
-
-def _interior_valid_inner(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
-    """v interior with five district-1 neighbors; a shrink vertex away from
-    the anchor path replaces v."""
-    note = "interior-pair"
-    p = b.p
-    region = p.region
-    nbrs6 = region.neighbors_cyclic(v)
-    k = nbrs6.index(a)
-    qpath = path_within(region, p.district_set(1), v, (1, 1))
-    flanks = None
-    for step in (1, -1):
-        around = [nbrs6[(k + step * j) % 6] for j in range(1, 6)]
-        if around[0] not in qpath and around[1] not in qpath:
-            flanks = around
-            break
-    if flanks is None:
-        raise PathError(note, "anchor path uses both flanks of the pivot")
-    c, d = flanks[0], flanks[1]
-    if any(p.district(u) != 1 for u in flanks):
-        raise PathError(note, "pivot flank not in district 1")
-    nblock = next(blk for blk in _district_blocks(p, a, 1) if v in blk)
-    w_set = (
-        set(qpath)
-        | (region.columns_leq(i) & p.district_set(1))
-        | set(nblock)
-    )
-    if d in w_set:
-        raise PathError(note, "flank absorbed by the separating set")
-    s = component_of(region, p.district_set(1) - w_set, d)
-    # scan N(c) from v toward d; a boundary stop pins down the geometry,
-    # otherwise s has an exposed vertex
-    cn = region.neighbors_cyclic(c)
-    kv = cn.index(v)
-    step = 1 if cn[(kv + 1) % 6] == d else -1
-    hit_boundary = False
-    for j in range(1, 6):
-        u = cn[(kv + step * j) % 6]
-        if u is OUTSIDE:
-            hit_boundary = True
-            break
-        if p.district(u) != 1:
-            break
-    if hit_boundary:
-        if region.is_boundary(a) or not region.is_boundary(d):
-            raise PathError(note, "boundary scan geometry mismatch")
-        h = next(
-            u
-            for u in region.neighbors(c)
-            if region.is_boundary(u) and u != d
-        )
-        if p.district(h) == 3:
-            b.flip(c, 3, note)
-            return
-        if p.district(h) == 2:
-            b.flip(a, 3, note)
-            b.flip(c, 2, note)
-            return
-        raise PathError(note, "boundary scan found a district-1 witness")
-    vp, to = find_shrink_vertex(p, s, (3, 2))
-    if to == 3:
-        b.flip(vp, 3, note)
-        return
-    if not region.adjacent(vp, a):
-        b.flip(vp, 2, note)
-        b.flip(a, 3, note)
-        return
-    _p1_pocket(b, i, vp)
+    _interior_valid_edge(b, i, a, v)
 
 
 def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
@@ -812,21 +744,6 @@ def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
         return
     b.flip(vp, 2, note)
     b.flip(a, 3, note)
-
-
-def _interior_valid_p3(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
-    """v touches district 3: flip it straight in, or resolve the detour."""
-    note = "interior-pair"
-    p = b.p
-    if neighborhood_flip_test(p, v, 3):
-        b.flip(v, 3, note)
-        return
-    if b.attempt(_p1_pocket, i, v) is None:
-        return
-    # district 2 lies inside every detour; shrink it away from a
-    vp, _ = find_shrink_vertex(p, p.district_set(2) - {a}, (3,))
-    b.flip(v, 2, note)
-    b.flip(vp, 3, note)
 
 
 # -- interior adjacent pair with a split district-2 neighborhood --------------------
@@ -1347,14 +1264,7 @@ def _case_c_dispatch(
         if not d_neighborhood(p, c, 3)[1]:
             _p1_pocket_bdry(b, i, c)
             return
-        comps = connected_components(region, p.district_set(1) - {c})
-        away = [s for s in comps if e not in s]
-        if len(away) != 1:
-            raise PathError(note, "cut components of c not binary")
-        if (1, 1) in away[0]:
-            raise PathError(note, "cut-off component of c holds the anchor")
-        _case_c_ccut(b, i, a, bbv, c, e, d, away[0])
-        return
+        raise PathError(note, "deleted sub-case: c cuts off a district-1 arm")
     if neighborhood_flip_test(p, e, 2):
         b.flip(e, 2, note)
         _case_c_post(b, i, a, bbv, c, depth)
@@ -1394,46 +1304,11 @@ def _case_c_dispatch(
     if len(away_c) != 1 or len(away_e) != 1:
         raise PathError(note, "cut components of c and e not binary")
     if (1, 1) not in away_c[0]:
-        _case_c_ccut(b, i, a, bbv, c, e, d, away_c[0])
-        return
+        raise PathError(note, "deleted sub-case: c cuts off a district-1 arm")
     if (1, 1) not in away_e[0]:
         _case_c_ecut(b, i, a, bbv, c, e, d, dprime, away_e[0], depth)
         return
     raise PathError(note, "both cut-off components hold the anchor")
-
-
-def _case_c_ccut(
-    b: _Builder,
-    i: int,
-    a: Vertex,
-    bbv: Vertex,
-    c: Vertex,
-    e: Vertex,
-    d: Vertex,
-    s1,
-) -> None:
-    """c is a cut vertex of district 1 whose far component s1 misses the
-    anchor; unwind against the arm behind a, or recombine across the e-c-a
-    cycle when s1 lies inside it."""
-    note = "interior-3"
-    p = b.p
-    region = p.region
-    cyc = path_within(region, p.district_set(1), e, c) + [a]
-    interior = vertices_enclosed(region, cyc)
-    if next(iter(s1)) in interior:
-        q, step = cycle_recombine(p, cyc, a, c, note="cycle-recombine")
-        b.extend([step])
-        b.flip(c, 3, note)
-        return
-    s2 = component_of(region, p.district_set(2) - {a}, d)
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
-    if outcome == "balanced":
-        return
-    if outcome == "s1-exhausted":
-        b.flip(c, 3, note)
-        return
-    _interior_valid(b, i, a, bbv)
 
 
 def _case_c_ecut(
@@ -1549,13 +1424,11 @@ def _case_c_post(
     _interior_valid(b, i, a, bbv)
 
 
-def _case_d(b: _Builder, i: int, depth: int = 0) -> None:
+def _case_d(b: _Builder, i: int) -> None:
     """Districts 2 and 3 share no edge: work at a boundary junction of
     districts 1 and 3 beyond the swept columns."""
     p = b.p
     region = p.region
-    if depth > 8:
-        raise PathError("separated", "case recursion exceeded its bound")
     consecutive = region.boundary_pairs
     left = region.columns_leq(i)
     cand = []
@@ -1570,22 +1443,10 @@ def _case_d(b: _Builder, i: int, depth: int = 0) -> None:
     )
     if not cand:
         raise PathError("separated", "no boundary junction pair")
-    _first_success(b, _case_d_pair, [(i, a, bv, depth) for a, bv in cand])
+    _first_success(b, _case_d_pair, [(i, a, bv) for a, bv in cand])
 
 
-def _case_redispatch(b: _Builder, i: int, depth: int) -> None:
-    """Moves made under Case D may make districts 2 and 3 adjacent; route to
-    whichever case now applies."""
-    if depth > 8:
-        raise PathError("rebalance", "case recursion exceeded its bound")
-    case = case_dispatch(b.p)
-    if case == "D":
-        _case_d(b, i, depth + 1)
-    else:
-        {"A": _case_a, "B": _case_b, "C": _case_c}[case](b, i)
-
-
-def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -> None:
+def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
     note = "separated"
     p = b.p
     region = p.region
@@ -1609,9 +1470,9 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -> None
     if p.district(f) != 2 or p.district(g) != 1 or p.district(h) != 2:
         raise PathError(note, "forced wedge labels absent")
     if d_neighborhood(p, g, 1)[1] and d_neighborhood(p, g, 2)[1]:
-        _case_d_2a(b, i, a, bv, d, g, depth)
+        _case_d_2a(b, i, a, bv, d, g)
         return
-    _case_d_2b(b, i, a, bv, d, f, g, h, depth)
+    _case_d_2b(b, i, a, bv, d, f, g, h)
 
 
 def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex) -> None:
@@ -1665,14 +1526,15 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
     b.flip(a, 3, note)
 
 
-def _case_d_resume_one(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -> None:
+def _case_d_resume_one(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
     """After unwinding, d's neighborhoods are clean again; re-derive the local
     labels and finish as in the clean-wedge case."""
     p = b.p
     region = p.region
     if districts_adjacent(p, 2, 3):
-        _case_redispatch(b, i, depth + 1)
-        return
+        raise PathError(
+            "separated", "deleted sub-case: unwinding made districts 2 and 3 adjacent"
+        )
     if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, "separated")
         return
@@ -1685,7 +1547,7 @@ def _case_d_resume_one(b: _Builder, i: int, a: Vertex, bv: Vertex, depth: int) -
 
 
 def _case_d_2a(
-    b: _Builder, i: int, a: Vertex, bv: Vertex, d: Vertex, g: Vertex, depth: int
+    b: _Builder, i: int, a: Vertex, bv: Vertex, d: Vertex, g: Vertex
 ) -> None:
     """g (district 1, two columns right of the wedge) hands its spot to
     district 2 so d can join district 1."""
@@ -1722,7 +1584,7 @@ def _case_d_2a(
     if outcome == "s1-exhausted":
         b.flip(a, 3, note)
         return
-    _case_d_resume_one(b, i, a, bv, depth)
+    _case_d_resume_one(b, i, a, bv)
 
 
 def _case_d_2b(
@@ -1734,7 +1596,6 @@ def _case_d_2b(
     f: Vertex,
     g: Vertex,
     h: Vertex,
-    depth: int,
 ) -> None:
     """g is a cut vertex of district 1; unwind or recombine across the a-g
     cycle before handing g to district 2."""
@@ -1779,21 +1640,22 @@ def _case_d_2b(
         if outcome == "balanced":
             return
         if districts_adjacent(b.p, 2, 3):
-            _case_redispatch(b, i, depth + 1)
-            return
+            raise PathError(
+                note, "deleted sub-case: unwinding made districts 2 and 3 adjacent"
+            )
         if outcome == "s1-exhausted":
             if s1 is s1a:
                 b.flip(a, 3, note)
                 return
-            _case_d_2a(b, i, a, bv, d, g, depth)
+            _case_d_2a(b, i, a, bv, d, g)
             return
-        _case_d_resume_one(b, i, a, bv, depth)
+        _case_d_resume_one(b, i, a, bv)
         return
     if s1 is not s1g:
         raise PathError(note, "junction component enclosed by the cycle")
     q, step = cycle_recombine(p, cyc, d, g, note="cycle-recombine")
     b.extend([step])
-    _case_d_2a(b, i, a, bv, d, g, depth)
+    _case_d_2a(b, i, a, bv, d, g)
 
 
 # -- sweep and finishing ------------------------------------------------------------
@@ -1993,13 +1855,11 @@ def _nb_core(b: _Builder, depth: int) -> None:
 
 def _nb_junction(b: _Builder, a: Vertex, bv: Vertex, depth: int) -> None:
     """a (district 1) and bv (district 3) adjacent along the boundary; a does
-    not flip directly, so dispatch on which of a's neighborhoods splits."""
+    not flip directly (_nb_core found no removable vertex flipping to 3), so
+    dispatch on which of a's neighborhoods splits."""
     note = "restore-balance"
     p = b.p
     region = p.region
-    if neighborhood_flip_test(p, a, 3):
-        b.flip(a, 3, note)
-        return
     slots = region.neighbors_cyclic(a)
     ks = [k for k in range(6) if slots[k] is not OUTSIDE]
     if len(ks) != 4:
@@ -2171,22 +2031,20 @@ def _nb_tric(b: _Builder, depth: int) -> None:
         if neighborhood_flip_test(p, av, 3):
             b.flip(av, 3, note)
             return
-    for av, bv3, cv2 in info:
-        if not region.is_boundary(av) and d_neighborhood(p, av, 1)[1]:
-            _nb_aconn(b, av)
-            return
-    cands = []
-    for av, bv3, cv2 in info:
-        if region.is_boundary(av):
-            continue
+    pivots = [t for t in info if not region.is_boundary(t[0])]
+    for av, bv3, cv2 in pivots:
+        if d_neighborhood(p, av, 1)[1]:
+            raise PathError(
+                note, "deleted sub-case: pivot with a whole district-1 neighborhood"
+            )
+    if not pivots:
+        raise PathError(note, "no workable tricolor pivot")
+    for av, bv3, cv2 in pivots:
         e = _nb_gap_vertex(p, av, bv3)
         if p.district(e) == 2:
             _nb_cmach(b, av, cv2, e, depth)
             return
-        cands.append((av, bv3, e))
-    if not cands:
-        raise PathError(note, "no workable tricolor pivot")
-    _first_success(b, _nb_lcycle, cands)
+    raise PathError(note, "deleted sub-case: deficit cycle traps district 1")
 
 
 def _nb_gap_vertex(p: Partition, a: Vertex, bv: Vertex) -> Vertex:
@@ -2201,28 +2059,6 @@ def _nb_gap_vertex(p: Partition, a: Vertex, bv: Vertex) -> Vertex:
             if p.district(u) == 2:
                 return u
     return cands[0][0]
-
-
-def _nb_aconn(b: _Builder, av: Vertex) -> None:
-    """av's district-1 neighborhood is whole, so district 2 is pinned to av:
-    shed one settled vertex to the deficit and hand av over."""
-    note = "restore-balance"
-    p = b.p
-    region = p.region
-    pool = p.district_set(2) - set(region.neighbors(av))
-    comps = sorted(
-        connected_components(region, pool),
-        key=lambda s: min(ordering_index(u) for u in s),
-    )
-    for s in comps:
-        try:
-            v, _ = find_shrink_vertex(p, s, (3,))
-        except NoShrinkVertex:
-            continue
-        b.flip(v, 3, note)
-        b.flip(av, 2, note)
-        return
-    raise PathError(note, "no shrinkable vertex away from the pivot")
 
 
 def _nb_cmach(
@@ -2284,31 +2120,13 @@ def _nb_cmach(
         if neighborhood_flip_test(b.p, av, 3):
             b.flip(av, 3, note)
             return
-        _nb_aconn(b, av)
-        return
+        raise PathError(
+            note, "deleted sub-case: pivot with a whole district-1 neighborhood"
+        )
     b.flip(cv, 3, note)
     rem1 = {u for u in s1 if b.p.district(u) == 1}
     v, _ = find_shrink_vertex(b.p, rem1, (2,))
     b.flip(v, 2, note)
-
-
-def _nb_lcycle(b: _Builder, av: Vertex, bv: Vertex, e: Vertex) -> None:
-    """The bv-e deficit cycle through av traps a piece of district 1 away
-    from district 2; shed one trapped vertex to the deficit."""
-    note = "restore-balance"
-    p = b.p
-    region = p.region
-    cycp = path_within(region, p.district_set(3), bv, e) + [av]
-    interior = vertices_enclosed(region, cycp)
-    inside = [
-        s
-        for s in connected_components(region, p.district_set(1) - {av})
-        if next(iter(s)) in interior
-    ]
-    if len(inside) != 1:
-        raise PathError(note, f"expected one enclosed component, got {len(inside)}")
-    v, _ = find_shrink_vertex(p, inside[0], (3,))
-    b.flip(v, 3, note)
 
 
 # -- public operations ----------------------------------------------------------------

@@ -16,7 +16,9 @@ from trirecom import (
     in_omega,
 )
 from trirecom.partition import (
+    BalanceClass,
     TricolorTriangle,
+    classify,
     connected_components,
     is_connected,
     is_simply_connected,
@@ -73,7 +75,13 @@ def random_omega_state(region, targets, rng: random.Random, attempts: int = 300)
     block state, keeping only moves that stay inside the window."""
     perms = list(itertools.permutations((1, 2, 3)))
     p = ground_state(region, targets, perms[rng.randrange(6)])
-    verts = region.vertices
+    return flip_walk(p, rng, attempts)
+
+
+def flip_walk(p: Partition, rng: random.Random, attempts: int):
+    """`attempts` random single-vertex flip proposals from p, taking each
+    valid flip that stays inside the window."""
+    verts = p.region.vertices
     for _ in range(attempts):
         v = verts[rng.randrange(len(verts))]
         to = rng.randrange(1, 4)
@@ -173,6 +181,131 @@ def random_interior_tripartition(region, rng: random.Random):
     for v in s3:
         labels[region.index_of[v]] = 3
     return Partition(region, (len(p1), len(p2), len(s3)), tuple(labels))
+
+
+def random_interior_state(region, rng: random.Random):
+    """An in-domain random_interior_tripartition state: draws repeat until
+    every realized target is at least the side, the districts are relabeled
+    at random, and half of the states are then flip-walked inside their
+    window for 50 to 2,000 attempts."""
+    while True:
+        p = random_interior_tripartition(region, rng)
+        if p is not None and min(p.targets) >= region.n:
+            break
+    p = p.relabeled(dict(zip((1, 2, 3), rng.sample((1, 2, 3), 3))))
+    if rng.random() < 0.5:
+        p = flip_walk(p, rng, rng.randint(50, 2000))
+    return p
+
+
+def _grow(region, rng: random.Random, seed, size: int, pool, avoid, thin: bool):
+    """Grow `seed` toward `size` vertices of `pool` outside `avoid`, keeping
+    the grown set and the rest of the pool simply connected.  A thin growth
+    extends an induced path from its last vertex; otherwise any frontier
+    vertex may join.  Returns the grown vertices in insertion order, short
+    when the growth dead-ends."""
+    grown = list(seed)
+    members = set(grown)
+    for _ in range(8 * size):
+        if len(grown) >= size:
+            break
+        if thin:
+            end = grown[-1]
+            frontier = [
+                u
+                for u in region.neighbors(end)
+                if u in pool
+                and u not in avoid
+                and u not in members
+                and all(w == end or w not in members for w in region.neighbors(u))
+            ]
+        else:
+            frontier = sorted(
+                {
+                    u
+                    for v in grown
+                    for u in region.neighbors(v)
+                    if u in pool and u not in avoid and u not in members
+                }
+            )
+        if not frontier:
+            break
+        c = frontier[rng.randrange(len(frontier))]
+        if is_simply_connected(region, members | {c}) and is_simply_connected(
+            region, pool - members - {c}
+        ):
+            grown.append(c)
+            members.add(c)
+        elif thin:
+            break
+    return grown
+
+
+def random_all_corner_state(region, rng: random.Random, junction=False):
+    """A nearly balanced in-domain state whose deficit district holds all
+    three corners.
+
+    The oversized district grows from a random non-corner vertex, half of
+    the time as an induced path and otherwise as a simply connected blob.
+    The settled district grows next to it, half of the time seeded with
+    every free neighbor of the oversized district's first or last vertex, so
+    that a path end is buried in it.  The deficit district is the rest; it
+    keeps at least 2n - 1 vertices, about what joining the three corners
+    takes.  Districts are relabeled at random.
+
+    `junction` aims at the repair's boundary-junction branches: the path
+    always starts on the boundary and its last vertex is always buried."""
+    n = region.n
+    room = region.num_vertices - (2 * n - 1)  # for the other two districts
+    corners = frozenset(region.corners)
+    starts = sorted((region.boundary if junction else region.vertex_set) - corners)
+    while True:
+        thin = junction or rng.random() < 0.5
+        size1 = rng.randint(n + 1, room - n)
+        start = starts[rng.randrange(len(starts))]
+        s1 = _grow(region, rng, [start], size1, region.vertex_set, corners, thin)
+        if len(s1) != size1:
+            continue
+        pool = region.vertex_set - frozenset(s1)
+        end = s1[-1] if junction or rng.random() < 0.5 else s1[0]
+        open_nbrs = sorted(
+            u for u in region.neighbors(end) if u in pool and u not in corners
+        )
+        if (junction or rng.random() < 0.5) and open_nbrs and is_simply_connected(
+            region, open_nbrs
+        ):
+            seed2 = open_nbrs
+        else:
+            touching = sorted(
+                {
+                    u
+                    for v in s1
+                    for u in region.neighbors(v)
+                    if u in pool and u not in corners
+                }
+            )
+            seed2 = [touching[rng.randrange(len(touching))]]
+        if len(seed2) > room - size1:
+            continue
+        size2 = rng.randint(max(n, len(seed2)), room - size1)
+        s2 = _grow(region, rng, seed2, size2, pool, corners, False)
+        if len(s2) != size2:
+            continue
+        labels = [3] * region.num_vertices
+        for v in s1:
+            labels[region.index_of[v]] = 1
+        for v in s2:
+            labels[region.index_of[v]] = 2
+        size3 = region.num_vertices - size1 - size2
+        p = Partition(region, (size1 - 1, size2, size3 + 1), tuple(labels))
+        if classify(p) is not BalanceClass.NEARLY_BALANCED:
+            continue
+        return p.relabeled(dict(zip((1, 2, 3), rng.sample((1, 2, 3), 3))))
+
+
+def random_junction_state(region, rng: random.Random):
+    """random_all_corner_state aimed at the boundary-junction branches."""
+    return random_all_corner_state(region, rng, junction=True)
 
 
 def cyclic_runs(seq):
