@@ -11,6 +11,13 @@ directions are the constant shifts +-1, +-width and +-(width + 1) (see
 TriRegion.bit_of).  Reading a vertex's six neighbor slots out of a bitboard
 gives a 6-bit slot pattern (bit i for slot i, see TriRegion.slot_pattern);
 ONE_ARC tells whether the set slots form one contiguous arc of the cycle.
+The region keeps the bitboards of all its vertices (full_mask), of its
+boundary (boundary_mask) and of each column prefix (cols_leq_mask), and
+neighbors_mask ORs the six shifts of a bitboard.  Bit order is column-major,
+the same as ordering_index order, so walking a bitboard lowest bit first
+visits vertices in ascending ordering index.  The reflection and rotations
+are cached as index permutations per (reflect, turns) (TriRegion.frame),
+which move label arrays and bitboards without per-vertex geometry calls.
 """
 
 from __future__ import annotations
@@ -109,15 +116,8 @@ class TriRegion:
             frozenset(pair) for pair in zip(cyc, cyc[1:] + cyc[:1])
         )
         self.faces: tuple[tuple[Vertex, Vertex, Vertex], ...] = self._build_faces()
-        # index of the vertex each vertex's image comes from, under the
-        # reflection and one rotation: image labels[i] = labels[source[i]]
-        reflect_source = [0] * self.num_vertices
-        rotate_source = [0] * self.num_vertices
-        for i, v in enumerate(self.vertices):
-            reflect_source[self.index_of[self.reflect(v)]] = i
-            rotate_source[self.index_of[self.rotate(v)]] = i
-        self.reflect_source: tuple[int, ...] = tuple(reflect_source)
-        self.rotate_source: tuple[int, ...] = tuple(rotate_source)
+        # (reflect, turns) -> (source, image) index arrays, see frame
+        self._frames: dict[tuple[bool, int], tuple[tuple, tuple]] = {}
         # Bitboard layout.  Row 0 and the rows below each column's last
         # vertex are padding, so a shift never wraps one column into the
         # next: AND-ing a shifted mask with a vertex set drops every
@@ -130,12 +130,21 @@ class TriRegion:
         self.vertex_at: dict[int, Vertex] = {
             b.bit_length() - 1: v for v, b in self.bit_of.items()
         }
+        self._index_at: dict[int, int] = {
+            b.bit_length() - 1: i for i, b in enumerate(self.bits)
+        }
         # the bit of each neighbor slot, 0 for an OUTSIDE slot
         self._slot_bits: dict[Vertex, tuple[int, ...]] = {
             v: tuple(0 if u is OUTSIDE else self.bit_of[u] for u in slots)
             for v, slots in self._slots.items()
         }
         full = self.mask_of(self.vertices)
+        self.full_mask = full
+        self.boundary_mask = self.mask_of(self.boundary)
+        # column i's bits lie below bit (i + 1) * width
+        self._cols_leq_masks: tuple[int, ...] = tuple(
+            full & ((1 << ((i + 1) * self.width)) - 1) for i in range(n + 1)
+        )
         #: The slot pattern of each vertex's in-region neighbors.
         self.region_pattern: dict[Vertex, int] = {
             v: self.slot_pattern(full, v) for v in self.vertices
@@ -181,6 +190,60 @@ class TriRegion:
             | (m & s5 and 32)
         )
 
+    def neighbors_mask(self, m: int) -> int:
+        """The bitboard of the region vertices with a neighbor in bitboard m
+        (m's own vertices only when a neighbor of theirs is in m too)."""
+        w = self.width
+        w1 = w + 1
+        return (
+            m << 1 | m >> 1 | m << w | m >> w | m << w1 | m >> w1
+        ) & self.full_mask
+
+    def vertices_of(self, m: int) -> list[Vertex]:
+        """The vertices of bitboard m in ascending ordering index."""
+        vertex_at = self.vertex_at
+        out = []
+        while m:
+            low = m & -m
+            out.append(vertex_at[low.bit_length() - 1])
+            m ^= low
+        return out
+
+    def frame(
+        self, reflect: bool, turns: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The reflection (when `reflect`) followed by `turns` third-turn
+        rotations, as index arrays (source, image): image[i] is the index of
+        vertex i's image and source is its inverse, so the image of a label
+        array is labels[source[j]] for each j.  Cached per (reflect,
+        turns % 3)."""
+        key = (bool(reflect), turns % 3)
+        fr = self._frames.get(key)
+        if fr is None:
+            image = []
+            for v in self.vertices:
+                if reflect:
+                    v = self.reflect(v)
+                for _ in range(key[1]):
+                    v = self.rotate(v)
+                image.append(self.index_of[v])
+            source = [0] * self.num_vertices
+            for i, j in enumerate(image):
+                source[j] = i
+            fr = self._frames[key] = (tuple(source), tuple(image))
+        return fr
+
+    def map_mask(self, m: int, image: tuple[int, ...]) -> int:
+        """The image of bitboard m under the vertex permutation `image` (see
+        frame)."""
+        bits, index_at = self.bits, self._index_at
+        out = 0
+        while m:
+            low = m & -m
+            out |= bits[image[index_at[low.bit_length() - 1]]]
+            m ^= low
+        return out
+
     def neighbors_cyclic(self, v: Vertex) -> tuple[Optional[Vertex], ...]:
         """The 6 neighbor slots of v in fixed clockwise order; out-of-region
         slots hold OUTSIDE."""
@@ -200,6 +263,10 @@ class TriRegion:
     def columns_leq(self, i: int) -> frozenset[Vertex]:
         """Vertices of columns 1..i, for i >= 0."""
         return self._columns_leq[min(i, self.n)]
+
+    def cols_leq_mask(self, i: int) -> int:
+        """The bitboard of columns 1..i, for i >= 0."""
+        return self._cols_leq_masks[min(i, self.n)]
 
     def is_boundary(self, v: Vertex) -> bool:
         return v in self.boundary

@@ -9,7 +9,9 @@ Euler-characteristic count.  Partitions derived by with_moves or relabeled
 carry their parent's cached masks and district sets, updated by the moves or
 the permutation.  Neighborhood predicates (cut vertex, exposed vertex, arc
 connectivity) read a vertex's 6-bit slot pattern out of one district mask,
-and tricolor faces come from shifted ANDs of the three masks.
+tricolor faces come from shifted ANDs of the three masks, and district
+adjacency and the rebalance-case dispatch AND one mask with the neighbor
+shifts of another (lattice.TriRegion.neighbors_mask).
 """
 
 from __future__ import annotations
@@ -198,7 +200,8 @@ class Partition:
         """Apply a district relabeling: old label d becomes perm[d].  Targets,
         cached masks and cached district sets move with their districts."""
         inv = {new: old for old, new in perm.items()}
-        labels = tuple(map((0, perm[1], perm[2], perm[3]).__getitem__, self.labels))
+        table = bytes.maketrans(b"\1\2\3", bytes((perm[1], perm[2], perm[3])))
+        labels = tuple(bytes(self.labels).translate(table))
         targets = tuple(self.targets[inv[d] - 1] for d in DISTRICTS)
         q = Partition(self.region, targets, labels)
         if self._masks is not None:
@@ -207,19 +210,20 @@ class Partition:
             q._districts = tuple(self._districts[inv[d] - 1] for d in DISTRICTS)
         return q
 
-    def reflected(self) -> "Partition":
-        """The mirror image under the column-fixing reflection."""
-        source = self.region.reflect_source
+    def permuted(self, source: tuple[int, ...]) -> "Partition":
+        """The image under a vertex permutation given by its source index
+        array: vertex j of the image takes the label of vertex source[j]
+        (see lattice.TriRegion.frame)."""
         labels = tuple(map(self.labels.__getitem__, source))
         return Partition(self.region, self.targets, labels)
 
+    def reflected(self) -> "Partition":
+        """The mirror image under the column-fixing reflection."""
+        return self.permuted(self.region.frame(True, 0)[0])
+
     def rotated(self, turns: int = 1) -> "Partition":
         """The image under `turns` third-of-a-turn rotations."""
-        source = self.region.rotate_source
-        labels = self.labels
-        for _ in range(turns % 3):
-            labels = tuple(map(labels.__getitem__, source))
-        return Partition(self.region, self.targets, labels)
+        return self.permuted(self.region.frame(False, turns)[0])
 
     def __eq__(self, other) -> bool:
         return (
@@ -369,10 +373,8 @@ def tricolor_triangles(p: Partition) -> list[TricolorTriangle]:
 
 
 def districts_adjacent(p: Partition, d1: int, d2: int) -> bool:
-    s2 = p.district_set(d2)
-    return any(
-        u in s2 for v in p.district_set(d1) for u in p.region.neighbors(v)
-    )
+    masks = p.masks()
+    return bool(p.region.neighbors_mask(masks[d1 - 1]) & masks[d2 - 1])
 
 
 def case_dispatch(p: Partition) -> str:
@@ -380,15 +382,14 @@ def case_dispatch(p: Partition) -> str:
     contains corner (1, 1): 'A' adjacent boundary pair of districts 2 and 3;
     'B' district 2 interior; 'C' district 3 interior; 'D' districts 2 and 3
     not adjacent.  Exactly one holds."""
-    bd = p.region.boundary
-    p2b = p.district_set(2) & bd
-    p3b = p.district_set(3) & bd
-    case_a = any(
-        u in p3b for v in p2b for u in p.region.neighbors(v)
-    )
+    region = p.region
+    _, m2, m3 = p.masks()
+    p2b = m2 & region.boundary_mask
+    p3b = m3 & region.boundary_mask
+    case_a = bool(region.neighbors_mask(p2b) & p3b)
     case_b = not p2b
     case_c = not p3b
-    case_d = not districts_adjacent(p, 2, 3)
+    case_d = not region.neighbors_mask(m2) & m3
     flags = [case_a, case_b, case_c, case_d]
     assert sum(flags) == 1, (
         f"case dispatch expects exactly one case, got {flags} for {p!r}"

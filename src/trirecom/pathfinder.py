@@ -20,12 +20,21 @@ expectation of a branch fails, a PathError naming the branch is raised
 instead.  Sub-cases that no sampled state reached were deleted; their call
 sites raise such a PathError naming the deleted sub-case (the README's case
 map lists them).
+
+The builder's per-repair bookkeeping runs on the district bitboards
+(Partition.masks): the removable-vertex scan walks the exposed vertices of a
+candidate mask lowest bit first (toolkit.shrink_flips), the first open
+column is the column of the lowest bit outside district 1, the frozen
+vertices are one mask, and a frame's reflection and rotations come from the
+region's cached index permutations (TriRegion.frame), which carry the label
+arrays, the vertex map and the frozen mask into the frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .lattice import OUTSIDE, TriRegion, Vertex, ordering_index
 from .moves import (
@@ -50,8 +59,6 @@ from .partition import (
     ground_state,
     in_omega,
     in_window,
-    is_cut_vertex,
-    is_exposed,
     tricolor_triangles,
 )
 from .toolkit import (
@@ -62,6 +69,7 @@ from .toolkit import (
     execute_tower,
     find_shrink_vertex,
     path_within,
+    shrink_flips,
     unwind,
     vertices_enclosed,
 )
@@ -109,34 +117,41 @@ class _Builder:
     third-turn rotation taking the root partition to the local one: `vmap`
     gives, for each root vertex index, the local index of its image (None for
     the identity) and `dmap` sends each local district to its root district.
-    Each step is validated once, against the window and the frozen set, when
-    it is emitted, and recorded in root labels."""
+    `frozen` is the bitboard of the local vertices no step may reassign.
+    Each step is validated once, against the window and the frozen mask,
+    when it is emitted, and recorded in root labels."""
 
-    __slots__ = ("p", "steps", "frozen", "vmap", "dmap")
+    __slots__ = ("p", "steps", "frozen", "vmap", "dmap", "_gather", "_translate")
 
     def __init__(
-        self, p: Partition, frozen=frozenset(), steps=None, vmap=None,
+        self, p: Partition, frozen: int = 0, steps=None, vmap=None,
         dmap=(0, 1, 2, 3),
     ):
         self.p = p
         self.steps: list[RecomStep] = [] if steps is None else steps
-        self.frozen = frozenset(frozen)
+        self.frozen = frozen
         self.vmap = vmap
         self.dmap = dmap
+        # local labels -> root labels: gather through vmap, translate by dmap
+        self._gather = None if vmap is None else itemgetter(*vmap)
+        self._translate = (
+            None if dmap == (0, 1, 2, 3)
+            else bytes.maketrans(b"\1\2\3", bytes(dmap[1:]))
+        )
 
     def _record(self, q: Partition, untouched: int, note: str) -> None:
-        labels, vmap, dmap = q.labels, self.vmap, self.dmap
-        if vmap is not None:
-            labels = tuple(map(dmap.__getitem__, map(labels.__getitem__, vmap)))
-        elif dmap != (0, 1, 2, 3):
-            labels = tuple(map(dmap.__getitem__, labels))
-        self.steps.append(RecomStep(dmap[untouched], labels, note))
+        labels = q.labels
+        if self._gather is not None:
+            labels = self._gather(labels)
+        if self._translate is not None:
+            labels = tuple(bytes(labels).translate(self._translate))
+        self.steps.append(RecomStep(self.dmap[untouched], labels, note))
         self.p = q
 
     def flip(self, v: Vertex, to: int, note: str) -> None:
         # self.p is valid, so the local test decides validity exactly and
         # the flipped state needs only its size window checked
-        if v in self.frozen:
+        if self.p.region.bit_of[v] & self.frozen:
             raise PathError(note, f"flip would reassign frozen vertex {v}")
         if not neighborhood_flip_test(self.p, v, to):
             raise PathError(note, f"flip {v} -> {to} is not valid")
@@ -148,56 +163,43 @@ class _Builder:
     def extend(self, steps) -> None:
         for step in steps:
             q = apply_recom(self.p, step)
-            for v in self.frozen:
-                if q.district(v) != self.p.district(v):
-                    raise PathError(
-                        step.note, f"step reassigns frozen vertex {v}"
-                    )
+            moved = 0
+            for a, b in zip(q.masks(), self.p.masks()):
+                moved |= (a ^ b) & self.frozen
+            if moved:
+                v = q.region.vertex_at[(moved & -moved).bit_length() - 1]
+                raise PathError(step.note, f"step reassigns frozen vertex {v}")
             self._record(q, step.untouched, step.note)
 
     def balanced(self) -> bool:
         return self.p.sizes() == self.p.targets
 
     def run(
-        self, func, *args, roles=None, reflect=False, turns=0, frozen=()
+        self, func, *args, roles=None, reflect=False, turns=0, frozen=0
     ):
         """Run func on a sub-builder whose frame is this one composed with the
         district relabeling `roles` (concrete d -> role roles[d]), then the
         reflection, then `turns` third-turn rotations.  The sub-builder
-        appends to the same step list and freezes this builder's frozen set
-        (mapped) plus `frozen` (in its own coordinates); afterwards this
-        builder's partition is pulled back from the sub-builder's."""
-        region = self.p.region
-        turns %= 3
-
-        def move(v: Vertex) -> Vertex:
-            if reflect:
-                v = region.reflect(v)
-            for _ in range(turns):
-                v = region.rotate(v)
-            return v
-
-        start, vmap, dmap = self.p, self.vmap, self.dmap
+        appends to the same step list and freezes this builder's frozen mask
+        (mapped) plus the bitboard `frozen` (in its own coordinates);
+        afterwards this builder's partition is pulled back from the
+        sub-builder's."""
+        start, vmap, dmap, mapped = self.p, self.vmap, self.dmap, self.frozen
         if roles is not None:
             start = start.relabeled(roles)
             inv = {r: d for d, r in roles.items()}
             dmap = (0,) + tuple(dmap[inv[r]] for r in (1, 2, 3))
-        if reflect:
-            start = start.reflected()
-        if turns:
-            start = start.rotated(turns)
-        if reflect or turns:
-            index_of, vertices = region.index_of, region.vertices
-            vmap = tuple(
-                index_of[move(vertices[j])]
-                for j in (range(len(vertices)) if vmap is None else vmap)
-            )
-        frozen = frozenset(map(move, self.frozen)) | frozenset(frozen)
-        sub = _Builder(start, frozen, self.steps, vmap, dmap)
+        geometry = reflect or turns % 3
+        if geometry:
+            region = start.region
+            source, image = region.frame(reflect, turns)
+            start = start.permuted(source)
+            vmap = image if vmap is None else tuple(map(image.__getitem__, vmap))
+            mapped = region.map_mask(mapped, image)
+        sub = _Builder(start, mapped | frozen, self.steps, vmap, dmap)
         out = func(sub, *args)
         if sub.p is not start:
-            q = sub.p.rotated(3 - turns) if turns else sub.p
-            q = q.reflected() if reflect else q
+            q = sub.p.permuted(image) if geometry else sub.p
             self.p = q if roles is None else q.relabeled(inv)
         return out
 
@@ -283,37 +285,32 @@ def _sole_common(region: TriRegion, u: Vertex, v: Vertex) -> Vertex:
     return common[0]
 
 
-def _p1_beyond(p: Partition, i: int) -> frozenset[Vertex]:
-    return p.district_set(1) - p.region.columns_leq(i)
+def _removables(p: Partition, cands: int) -> list[tuple[Vertex, int]]:
+    """(vertex, target) for the removable vertices of the candidate bitboard
+    in ascending ordering index: exposed non-cut vertices with a valid flip
+    to district 3 (preferred per vertex) or district 2."""
+    return list(shrink_flips(p, cands, (3, 2)))
 
 
-def _removables(p: Partition, cands) -> list[tuple[Vertex, int]]:
-    """(vertex, target) for removable candidates in ascending ordering index:
-    exposed non-cut vertices with a valid flip to district 3 (preferred per
-    vertex) or district 2."""
-    out = []
-    for v in sorted(cands, key=ordering_index):
-        if not is_exposed(p, v) or is_cut_vertex(p, v):
-            continue
-        if neighborhood_flip_test(p, v, 3):
-            out.append((v, 3))
-        elif neighborhood_flip_test(p, v, 2):
-            out.append((v, 2))
-    return out
+def _beyond(p: Partition, i: int) -> int:
+    """The bitboard of district-1 vertices beyond column i."""
+    return p.masks()[0] & ~p.region.cols_leq_mask(i)
 
 
 def _release_or_pick(b: _Builder, i: int, note: str):
     """Flip a beyond-column district-1 vertex straight into district 3 when
     possible (returns None, leaving the partition balanced); otherwise return
     the first such vertex that can move to district 2."""
-    rem = _removables(b.p, _p1_beyond(b.p, i))
-    if not rem:
-        raise PathError(note, "no removable district-1 vertex beyond the column")
-    for v, to in rem:
+    first = None
+    for v, to in shrink_flips(b.p, _beyond(b.p, i), (3, 2)):
         if to == 3:
             b.flip(v, 3, "release")
             return None
-    return rem[0][0]
+        if first is None:
+            first = v
+    if first is None:
+        raise PathError(note, "no removable district-1 vertex beyond the column")
+    return first
 
 
 def _hex_distance(u: Vertex, v: Vertex) -> int:
@@ -464,9 +461,9 @@ def _rebalance_std(b: _Builder, i: int) -> None:
     k1, k2, k3 = p.targets
     if p.sizes() != (k1 + 1, k2, k3 - 1):
         raise PathError("rebalance", f"sizes {p.sizes()} not in standard form")
-    if not p.region.columns_leq(i - 1) <= p.district_set(1):
+    if p.region.cols_leq_mask(i - 1) & ~p.masks()[0]:
         raise PathError("rebalance", "left columns not in district 1")
-    if not _p1_beyond(p, i):
+    if not _beyond(p, i):
         raise PathError("rebalance", "no district-1 vertex beyond the column")
     case = case_dispatch(p)
     func = {"A": _case_a, "B": _case_b, "C": _case_c, "D": _case_d}[case]
@@ -494,7 +491,7 @@ def _rebalance_roles(b: _Builder, i: int) -> None:
 
 def _rebalance_frozen(b: _Builder, i: int) -> None:
     """The standard rebalance with district-1 columns <= i frozen."""
-    frozen = b.p.district_set(1) & b.p.region.columns_leq(i)
+    frozen = b.p.masks()[0] & b.p.region.cols_leq_mask(i)
     b.run(_rebalance_std, i, frozen=frozen)
 
 
@@ -505,10 +502,15 @@ def _case_a(b: _Builder, i: int) -> None:
     p = b.p
     region = p.region
     consecutive = region.boundary_pairs
+    _, m2, m3 = p.masks()
+    bd = region.boundary_mask
+    b3 = m3 & bd
+    bit_of = region.bit_of
     cand = []
-    for a in sorted(p.district_set(2) & region.boundary, key=ordering_index):
+    # boundary district-2 vertices with a boundary district-3 neighbor
+    for a in region.vertices_of(m2 & bd & region.neighbors_mask(b3)):
         for w in region.neighbors(a):
-            if w in region.boundary and p.district(w) == 3:
+            if bit_of[w] & b3:
                 cand.append((a, w))
     cand.sort(
         key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
@@ -676,7 +678,7 @@ def _interior_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
     note = "interior-pair"
     p = b.p
     region = p.region
-    rem = _removables(p, _p1_beyond(p, i))
+    rem = _removables(p, _beyond(p, i))
     if not rem:
         raise PathError(note, "no removable district-1 vertex beyond the column")
     for u, to in rem:
@@ -1662,11 +1664,11 @@ def _case_d_2b(
 
 
 def _first_open_column(p: Partition) -> int:
+    """The first column not inside district 1: the column of the lowest
+    vertex outside it (bit col * width + row)."""
     region = p.region
-    s1 = p.district_set(1)
-    return next(
-        j for j in range(1, region.n + 1) if not region.column(j) <= s1
-    )
+    rest = region.full_mask & ~p.masks()[0]
+    return ((rest & -rest).bit_length() - 1) // region.width
 
 
 def _sweep_std(b: _Builder) -> int:
@@ -1676,9 +1678,8 @@ def _sweep_std(b: _Builder) -> int:
     n = region.n
     guard = 0
     while True:
-        s1 = b.p.district_set(1)
         i = _first_open_column(b.p)
-        if s1 <= region.columns_leq(i):
+        if not _beyond(b.p, i):
             return i
         if i > n - 2:
             raise PathError("sweep", f"column index {i} exceeds {n - 2}")
@@ -1808,13 +1809,12 @@ def _nb_core(b: _Builder, depth: int) -> None:
     p = b.p
     region = p.region
     corners = region.corners
-    p1 = p.district_set(1)
-    held = [x for x in corners if x in p1]
+    held = [x for x in corners if p.district(x) == 1]
     if held:
         turns = {corners[0]: 0, corners[1]: 2, corners[2]: 1}[held[0]]
         b.run(_rebalance_frozen, 1, turns=turns)
         return
-    rem = _removables(p, p1)
+    rem = _removables(p, p.masks()[0])
     for v, to in rem:
         if to == 3:
             b.flip(v, 3, note)

@@ -4,26 +4,21 @@ towers, and exact cycle-interior computation.
 
 Every procedure validates each move it emits; a violated structural
 guarantee raises StructuralError rather than producing an unverified step.
-find_shrink_vertex uses the local neighborhood flip test and so needs a
-partition whose districts are simply connected: the route builder's state,
-or an unwinding state reached from one by such checked flips.  Towers and
-the paired flip of an unwinding round re-check their flips on intermediate
-states with the full recomputation, flip_valid.
+find_shrink_vertex scans a candidate bitboard with the local neighborhood
+flip test (shrink_flips, which the route builder's removable-vertex scan
+shares) and so needs a partition whose districts are simply connected: the
+route builder's state, or an unwinding state reached from one by such
+checked flips.  Towers and the paired flip of an unwinding round re-check
+their flips on intermediate states with the full recomputation, flip_valid.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .lattice import OUTSIDE, TriRegion, Vertex, ordering_index
-from .moves import (
-    RecomStep,
-    apply_flip,
-    flip_valid,
-    lift_flip,
-    neighborhood_flip_test,
-)
-from .partition import Partition, component_of, is_cut_vertex, is_exposed
+from .lattice import ONE_ARC, OUTSIDE, TriRegion, Vertex, ordering_index
+from .moves import RecomStep, apply_flip, flip_valid, lift_flip
+from .partition import Partition, component_of
 
 
 class StructuralError(Exception):
@@ -38,6 +33,39 @@ class NoShrinkVertex(StructuralError):
 # -- shrink-vertex search -----------------------------------------------------
 
 
+def shrink_flips(p: Partition, cands: int, prefer: tuple[int, ...]):
+    """Yield (vertex, target) for each vertex of the candidate bitboard, in
+    ascending ordering index, that is exposed, is not a cut vertex of its
+    own district, and has a valid flip to a district of `prefer`; the target
+    is the first such district.  Validity is neighborhood_flip_test's,
+    read from the same slot patterns, so every district of p must be simply
+    connected."""
+    region = p.region
+    masks = p.masks()
+    m1, m2, m3 = masks
+    full = region.full_mask
+    exposed = 0
+    for m in masks:
+        if cands & m:
+            exposed |= cands & m & region.neighbors_mask(full ^ m)
+    vertex_at, slot_pattern = region.vertex_at, region.slot_pattern
+    while exposed:
+        low = exposed & -exposed
+        exposed ^= low
+        own = 1 if low & m1 else (2 if low & m2 else 3)
+        m_own = masks[own - 1]
+        v = vertex_at[low.bit_length() - 1]
+        # a cut vertex, or its district's only vertex, never flips
+        if not ONE_ARC[slot_pattern(m_own, v)] or m_own == low:
+            continue
+        for to in prefer:
+            if to != own:
+                target = slot_pattern(masks[to - 1], v)
+                if target and ONE_ARC[target]:
+                    yield v, to
+                    break
+
+
 def find_shrink_vertex(
     p: Partition, subset, prefer: tuple[int, ...]
 ) -> tuple[Vertex, int]:
@@ -46,15 +74,11 @@ def find_shrink_vertex(
     (vertex, target).  Candidates are exposed non-cut vertices of their own
     district; raises NoShrinkVertex when none qualifies.  Every district of
     p must be simply connected (the local flip test's precondition)."""
-    for v in sorted(subset, key=ordering_index):
-        if not is_exposed(p, v) or is_cut_vertex(p, v):
-            continue
-        own = p.district(v)
-        for to in prefer:
-            if to != own and neighborhood_flip_test(p, v, to):
-                return v, to
+    cands = p.region.mask_of(subset)
+    for found in shrink_flips(p, cands, prefer):
+        return found
     raise NoShrinkVertex(
-        f"no flippable vertex in a set of {len(set(subset))} "
+        f"no flippable vertex in a set of {cands.bit_count()} "
         f"(preferred districts {prefer})"
     )
 

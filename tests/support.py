@@ -1,6 +1,8 @@
 """Shared test helpers: random state samplers, boundary-run utilities, and the
-reference definitions of simple connectivity (breadth-first search) and of
-tricolor triangles (a scan over every face)."""
+reference definitions of simple connectivity (breadth-first search), of
+tricolor triangles (a scan over every face), and of the route builder's
+vertex-set scans that now run on bitboards (removable vertices, rebalance
+case dispatch, district adjacency, first open column)."""
 
 from __future__ import annotations
 
@@ -15,12 +17,16 @@ from trirecom import (
     ground_state,
     in_omega,
 )
+from trirecom.lattice import ordering_index
+from trirecom.moves import neighborhood_flip_test
 from trirecom.partition import (
     BalanceClass,
     TricolorTriangle,
     classify,
     connected_components,
     is_connected,
+    is_cut_vertex,
+    is_exposed,
     is_simply_connected,
 )
 
@@ -61,6 +67,55 @@ def scan_tricolor_triangles(p: Partition) -> list[TricolorTriangle]:
             chir = "cw" if cw == (1, 2, 3) else "ccw"
             out.append(TricolorTriangle(face, chir))
     return out
+
+
+def removables_reference(p: Partition, cands) -> list:
+    """Reference for pathfinder._removables on a vertex set: (vertex,
+    target) for the exposed non-cut candidates, in ascending ordering index,
+    with a valid flip to district 3 (preferred) or district 2."""
+    out = []
+    for v in sorted(cands, key=ordering_index):
+        if not is_exposed(p, v) or is_cut_vertex(p, v):
+            continue
+        if neighborhood_flip_test(p, v, 3):
+            out.append((v, 3))
+        elif neighborhood_flip_test(p, v, 2):
+            out.append((v, 2))
+    return out
+
+
+def districts_adjacent_reference(p: Partition, d1: int, d2: int) -> bool:
+    """Reference for partition.districts_adjacent: some district-d1 vertex
+    has a district-d2 neighbor."""
+    s2 = p.district_set(d2)
+    return any(
+        u in s2 for v in p.district_set(d1) for u in p.region.neighbors(v)
+    )
+
+
+def case_dispatch_reference(p: Partition):
+    """Reference for partition.case_dispatch on vertex sets: the letter of
+    the one case that holds, or None when the four flags do not single one
+    out (case_dispatch then fails its assertion)."""
+    bd = p.region.boundary
+    p2b = p.district_set(2) & bd
+    p3b = p.district_set(3) & bd
+    case_a = any(u in p3b for v in p2b for u in p.region.neighbors(v))
+    case_b = not p2b
+    case_c = not p3b
+    case_d = not districts_adjacent_reference(p, 2, 3)
+    flags = [case_a, case_b, case_c, case_d]
+    return "ABCD"[flags.index(True)] if sum(flags) == 1 else None
+
+
+def first_open_column_reference(p: Partition) -> int:
+    """Reference for pathfinder._first_open_column: the first column that
+    is not inside district 1."""
+    region = p.region
+    s1 = p.district_set(1)
+    return next(
+        j for j in range(1, region.n + 1) if not region.column(j) <= s1
+    )
 
 
 def balanced_targets(n: int) -> tuple[int, int, int]:

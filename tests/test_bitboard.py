@@ -1,17 +1,35 @@
-"""Bitboard validity: the vertex-to-bit layout, slot patterns, the
-simple-connectivity kernel against the breadth-first reference, and the
-per-district masks cached by Partition and carried to derived partitions."""
+"""Bitboard validity: the vertex-to-bit layout, the region's masks and cached
+frames, slot patterns, the simple-connectivity kernel against the
+breadth-first reference, the per-district masks cached by Partition and
+carried to derived partitions, and the route builder's bitboard scans
+against their vertex-set references."""
 
+import itertools
 import random
 
 import pytest
 
 from trirecom import Partition, build_region
 from trirecom.lattice import DIRECTIONS, ONE_ARC
-from trirecom.partition import is_connected, is_simply_connected
+from trirecom.partition import (
+    case_dispatch,
+    districts_adjacent,
+    is_connected,
+    is_simply_connected,
+)
 from trirecom.partition import _simply_connected_mask
+from trirecom.pathfinder import _first_open_column, _removables
 
-from support import bfs_is_simply_connected, random_omega_state
+from support import (
+    balanced_targets,
+    bfs_is_simply_connected,
+    case_dispatch_reference,
+    districts_adjacent_reference,
+    first_open_column_reference,
+    random_interior_state,
+    random_omega_state,
+    removables_reference,
+)
 
 
 def test_lattice_steps_are_constant_shifts():
@@ -31,6 +49,42 @@ def test_lattice_steps_are_constant_shifts():
                 # an off-region step lands on a padding bit, never on a vertex
                 expected = region.bit_of[slot] if slot is not None else 0
                 assert moved & full == expected
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_region_masks_and_frames_match_the_vertex_sets(n):
+    region = build_region(n)
+    mask_of = region.mask_of
+    assert region.full_mask == mask_of(region.vertices)
+    assert region.boundary_mask == mask_of(region.boundary)
+    for i in range(n + 3):
+        assert region.cols_leq_mask(i) == mask_of(region.columns_leq(i))
+    assert region.vertices_of(region.full_mask) == sorted(
+        region.vertices, key=lambda v: (v[0], v[1])
+    )
+    rng = random.Random(90 + n)
+    for _ in range(100):
+        vset = {v for v in region.vertices if rng.random() < 0.3}
+        m = mask_of(vset)
+        near = {u for v in vset for u in region.neighbors(v)}
+        assert region.neighbors_mask(m) == mask_of(near)
+        assert region.vertices_of(m) == sorted(vset)
+    for reflect, turns in itertools.product((False, True), range(-1, 4)):
+        source, image = region.frame(reflect, turns)
+        assert region.frame(reflect, turns) is region.frame(reflect, turns % 3)
+
+        def move(v):
+            if reflect:
+                v = region.reflect(v)
+            for _ in range(turns % 3):
+                v = region.rotate(v)
+            return v
+
+        for i, v in enumerate(region.vertices):
+            assert region.vertices[image[i]] == move(v)
+            assert source[image[i]] == i
+        vset = {v for v in region.vertices if rng.random() < 0.5}
+        assert region.map_mask(mask_of(vset), image) == mask_of(map(move, vset))
 
 
 def test_one_arc_table_counts_cyclic_runs():
@@ -182,3 +236,78 @@ def test_carried_masks_and_districts_equal_rebuilt_ones(n, targets):
             assert q.sizes() == rebuilt.sizes()
             assert q.districts() == rebuilt.districts()
             p = q
+
+
+# -- the route builder's scans against their vertex-set references ---------------
+
+
+def _compare_scans(p):
+    """Check the bitboard scans on p against the vertex-set references;
+    return the dispatch outcome and the number of removable vertices beyond
+    each column, summed over the columns."""
+    region = p.region
+    sets = p.districts()
+    m1 = p.masks()[0]
+    # the scan reads each candidate's own district, so any set is a candidate
+    # set; the route builder passes district 1 beyond a column, or all of it
+    for cands in (*sets, region.vertex_set):
+        got = _removables(p, region.mask_of(cands))
+        assert got == removables_reference(p, cands)
+    found = 0
+    for i in range(region.n + 1):
+        expected = removables_reference(p, sets[0] - region.columns_leq(i))
+        assert _removables(p, m1 & ~region.cols_leq_mask(i)) == expected
+        found += len(expected)
+    for d1, d2 in itertools.permutations((1, 2, 3), 2):
+        assert districts_adjacent(p, d1, d2) == districts_adjacent_reference(
+            p, d1, d2
+        )
+    # dispatch expects the anchor corner inside district 1
+    d1 = p.district((1, 1))
+    d2, d3 = sorted({1, 2, 3} - {d1})
+    q = p.relabeled({d1: 1, d2: 2, d3: 3})
+    case = case_dispatch_reference(q)
+    if case is None:
+        with pytest.raises(AssertionError):
+            case_dispatch(q)
+    else:
+        assert case_dispatch(q) == case
+    assert _first_open_column(q) == first_open_column_reference(q)
+    assert _first_open_column(p) == first_open_column_reference(p)
+    return case, found
+
+
+def test_builder_scans_equal_the_references_on_the_n5_window(omega5):
+    assert len(omega5) == 3306
+    cases = set()
+    found = 0
+    for p in omega5:
+        case, removable = _compare_scans(p)
+        cases.add(case)
+        found += removable
+    # no district of 4 or more vertices fits in the 3 interior vertices of
+    # the n=5 region, so Cases B and C cannot occur there
+    assert cases == {"A", "D"}
+    assert found > 0
+
+
+@pytest.mark.parametrize("n, states", [(6, 40), (16, 16), (24, 8), (32, 5)])
+def test_builder_scans_equal_the_references_on_walk_states(n, states):
+    region = build_region(n)
+    targets = balanced_targets(n)
+    rng = random.Random(8200 + n)
+    found = 0
+    for k in range(states):
+        # walks of growing length, so shapes range from near-block to ragged
+        p = random_omega_state(region, targets, rng, attempts=(k + 1) * 40 * n)
+        found += _compare_scans(p)[1]
+    assert found > 0
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_builder_scans_equal_the_references_on_interior_states(n):
+    # a district off the boundary: Cases B and C of the dispatch
+    region = build_region(n)
+    rng = random.Random(8300 + n)
+    cases = {_compare_scans(random_interior_state(region, rng))[0] for _ in range(15)}
+    assert {"B", "C"} <= cases

@@ -290,6 +290,59 @@ def test_builder_records_nested_frame_flips_in_root_labels(pool5):
             assert b.p.labels == b.steps[-1].after
 
 
+def _frame_image(region, frame, v, d):
+    """Push a vertex and a district into a frame's image."""
+    roles, reflect, turns = frame
+    if reflect:
+        v = region.reflect(v)
+    for _ in range(turns):
+        v = region.rotate(v)
+    return v, roles[d]
+
+
+def test_nested_frames_keep_the_parents_frozen_vertex(pool5):
+    p = pool5[0]
+    region = p.region
+    # a valid flip of a vertex the reflection moves, so that a frozen mask
+    # left in the parent's coordinates misses the vertex in some frame
+    v, to = next(
+        (u, d)
+        for u in region.vertices
+        for d in (1, 2, 3)
+        if region.reflect(u) != u
+        and flip_valid(p, u, d)
+        and in_omega(apply_flip(p, u, d))
+    )
+    for outer, inner, at_root in itertools.product(FRAMES, FRAMES, (False, True)):
+        # v frozen at the root, or its image frozen by the outer frame
+        v_outer, to_outer = _frame_image(region, outer, v, to)
+        w, d = _frame_image(region, inner, v_outer, to_outer)
+        b = _Builder(p, frozen=region.bit_of[v] if at_root else 0)
+        seen = []
+
+        def try_frozen(sub):
+            steps, state = list(sub.steps), sub.p
+            err = sub.attempt(lambda s: s.flip(w, d, "framed"))
+            assert str(err) == f"framed: flip would reassign frozen vertex {w}"
+            assert sub.steps == steps and sub.p is state
+            untouched = untouched_of_flip(sub.p.district(w), d)
+            step = RecomStep(untouched, apply_flip(sub.p, w, d).labels, "framed")
+            err = sub.attempt(lambda s: s.extend([step]))
+            assert str(err) == f"framed: step reassigns frozen vertex {w}"
+            assert sub.steps == steps and sub.p is state
+            seen.append(w)
+
+        def nest(sub):
+            roles, reflect, turns = inner
+            sub.run(try_frozen, roles=roles, reflect=reflect, turns=turns)
+
+        roles, reflect, turns = outer
+        frozen = 0 if at_root else region.bit_of[v_outer]
+        b.run(nest, roles=roles, reflect=reflect, turns=turns, frozen=frozen)
+        assert seen == [w]
+        assert b.steps == [] and b.p is p
+
+
 def test_builder_flip_accepts_exactly_the_valid_window_flips(pool5):
     # the builder checks a flip locally plus the size window; the reference
     # is the full recomputation plus classification of the flipped state
