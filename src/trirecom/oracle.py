@@ -1,6 +1,14 @@
 """Brute-force ground truth for small instances: enumerate the state space,
 build the recombination state graph, and report connectivity, rigid states,
-and eccentricity statistics."""
+and eccentricity statistics.
+
+Enumeration works on the region's bitboards (see lattice.TriRegion.bit_of).
+Simply connected subsets are grown from their lowest bit with int candidate,
+banned and grown masks, and every yielded subset is checked by
+partition._simply_connected_mask.  Each district-1 subset's complement is
+split into districts 2 and 3 by growing only the piece that holds the
+complement's lowest bit.  The partitions carry the district bitboards they
+were built from."""
 
 from __future__ import annotations
 
@@ -19,6 +27,44 @@ from .partition import (
 MAX_ENUMERATION_SIDE = 6
 
 
+def _anchored_masks(w: int, sizes: set[int], allowed: int, anchors: int):
+    """Bitboards of the simply connected subsets of `allowed` whose size lies
+    in `sizes` and whose lowest bit is one of `anchors`, by anchored growth
+    on column width w.  Each subset is grown only from its lowest bit, and
+    candidates are taken lowest bit first and banned once skipped, so each
+    is produced exactly once, anchors and subsets in ascending bit order."""
+    max_size = max(sizes)
+    w1 = w + 1
+
+    def grow(mask: int, size: int, cands: int, banned: int, above: int):
+        # every valid strict superset of `mask` reachable by adding
+        # candidates; `above` holds the allowed bits beyond the anchor
+        if size == max_size:
+            return
+        size += 1
+        while cands:
+            c = cands & -cands
+            cands ^= c
+            grown = mask | c
+            if size in sizes and _simply_connected_mask(grown, w):
+                yield grown
+            extra = (
+                (c << 1 | c >> 1 | c << w | c >> w | c << w1 | c >> w1)
+                & above
+                & ~grown
+                & ~banned
+                & ~cands
+            )
+            yield from grow(grown, size, cands | extra, banned, above)
+            banned |= c
+
+    while anchors:
+        a = anchors & -anchors
+        anchors ^= a
+        # the anchor is the one candidate of the empty set
+        yield from grow(0, 0, a, 0, allowed & -(a << 1))
+
+
 def simply_connected_subsets(
     region: TriRegion,
     sizes: set[int],
@@ -27,59 +73,26 @@ def simply_connected_subsets(
     """All simply connected subsets of `allowed` (default: every vertex) whose
     size lies in `sizes`, each generated exactly once by anchored growth: a
     subset is grown only from its smallest vertex in ordering order."""
-    bit_of, w = region.bit_of, region.width
-    if allowed is None:
-        allowed = region.vertex_set
     if not sizes:
         return
-    max_size = max(sizes)
-    order = {v: region.index_of[v] for v in region.vertices}
-    allowed_sorted = sorted(allowed, key=order.get)
-
-    def grow(current: set, mask: int, candidates: list, banned: set):
-        # Yields every valid strict superset of `current` (bitboard `mask`)
-        # reachable by adding candidates; each subset is produced exactly
-        # once because candidates are consumed in ascending order and
-        # skipped ones are banned.
-        if len(current) == max_size:
-            return
-        cands = sorted(candidates, key=order.get)
-        for i, c in enumerate(cands):
-            current.add(c)
-            grown = mask | bit_of[c]
-            if len(current) in sizes and _simply_connected_mask(grown, w):
-                yield frozenset(current)
-            later = cands[i + 1 :]
-            new_banned = banned | set(cands[:i])
-            extra = [
-                u
-                for u in region.neighbors(c)
-                if u in allowed
-                and order[u] > anchor_order
-                and u not in current
-                and u not in new_banned
-                and u not in later
-            ]
-            yield from grow(current, grown, later + extra, new_banned)
-            current.discard(c)
-
-    for anchor in allowed_sorted:
-        anchor_order = order[anchor]
-        if 1 in sizes:
-            yield frozenset([anchor])
-        start_candidates = [
-            u
-            for u in region.neighbors(anchor)
-            if u in allowed and order[u] > anchor_order
-        ]
-        yield from grow({anchor}, bit_of[anchor], start_candidates, set())
+    allowed_mask = (
+        region.full_mask if allowed is None else region.mask_of(allowed)
+    )
+    for m in _anchored_masks(region.width, sizes, allowed_mask, allowed_mask):
+        yield frozenset(region.vertices_of(m))
 
 
 def enumerate_omega(
     region: TriRegion, targets: Targets, slack: int = 1
 ) -> list[Partition]:
     """Every partition into three simply connected districts whose sizes lie
-    within +/- slack of their targets, in deterministic label order."""
+    within +/- slack of their targets, in deterministic label order.
+
+    District 1 runs over the anchored subsets of the region.  Its complement
+    `rest` must split into districts 2 and 3, so only the piece t holding
+    rest's lowest vertex is grown, over the sizes either district may take;
+    t and rest - t are then the two districts in whichever order(s) their
+    sizes allow, and every split of rest is produced exactly once."""
     if slack not in (0, 1):
         raise ValueError("slack must be 0 or 1")
     if region.n > MAX_ENUMERATION_SIDE:
@@ -93,25 +106,37 @@ def enumerate_omega(
     sizes1 = set(range(k1 - slack, k1 + slack + 1))
     sizes2 = set(range(k2 - slack, k2 + slack + 1))
     sizes3 = set(range(k3 - slack, k3 + slack + 1))
-    out = []
-    for s1 in simply_connected_subsets(region, sizes1):
-        rest = region.vertex_set - s1
-        for s2 in simply_connected_subsets(region, sizes2, allowed=rest):
-            s3 = rest - s2
-            if len(s3) not in sizes3:
+    full, w = region.full_mask, region.width
+    splits = []
+    for m1 in _anchored_masks(w, sizes1, full, full):
+        rest = full ^ m1
+        n_rest = rest.bit_count()
+        ok2 = {s for s in sizes2 if n_rest - s in sizes3}
+        if not rest or not ok2:
+            continue
+        ok3 = {n_rest - s for s in ok2}
+        for t in _anchored_masks(w, ok2 | ok3, rest, rest & -rest):
+            u = rest ^ t
+            if not _simply_connected_mask(u, w):
                 continue
-            if not _simply_connected_mask(region.mask_of(s3), region.width):
-                continue
-            labels = [0] * total
-            for v in s1:
-                labels[region.index_of[v]] = 1
-            for v in s2:
-                labels[region.index_of[v]] = 2
-            for v in s3:
-                labels[region.index_of[v]] = 3
-            out.append(Partition(region, targets, tuple(labels)))
+            if t.bit_count() in ok2:
+                splits.append((m1, t, u))
+            if u.bit_count() in ok2:
+                splits.append((m1, u, t))
+    out = [_partition(region, targets, masks) for masks in splits]
     out.sort(key=lambda p: p.labels)
     return out
+
+
+def _partition(
+    region: TriRegion, targets: Targets, masks: tuple[int, int, int]
+) -> Partition:
+    # the partition of three district bitboards, built with its mask cache
+    m1, m2, _ = masks
+    labels = tuple(1 if b & m1 else 2 if b & m2 else 3 for b in region.bits)
+    p = Partition(region, targets, labels)
+    p._masks = masks
+    return p
 
 
 def enumerate_omega_bruteforce(

@@ -2190,15 +2190,12 @@ def balance_nearly(p: Partition) -> Trace:
     return _as_trace(p, b.steps)
 
 
-def ground_path(
+def _bridge_steps(
     region: TriRegion, targets: Targets, perm_a, perm_b
-) -> Trace:
-    """Connect two block states by adjacent block transpositions (<= 3
-    steps)."""
+) -> list[RecomStep]:
+    # the block transpositions (<= 3) from block state perm_a to perm_b,
+    # found by BFS over the orders of the three blocks
     perm_a, perm_b = tuple(perm_a), tuple(perm_b)
-    start = ground_state(region, targets, perm_a)
-    if perm_a == perm_b:
-        return _as_trace(start, [])
     prev: dict[tuple, tuple | None] = {perm_a: None}
     queue = deque([perm_a])
     while queue and perm_b not in prev:
@@ -2225,7 +2222,16 @@ def ground_path(
                 "block-swap",
             )
         )
-    return _as_trace(start, steps)
+    return steps
+
+
+def ground_path(
+    region: TriRegion, targets: Targets, perm_a, perm_b
+) -> Trace:
+    """Connect two block states by adjacent block transpositions (<= 3
+    steps)."""
+    start = ground_state(region, targets, tuple(perm_a))
+    return _as_trace(start, _bridge_steps(region, targets, perm_a, perm_b))
 
 
 def _route_to_ground(p: Partition) -> tuple[list[RecomStep], tuple[int, int, int]]:
@@ -2252,10 +2258,11 @@ def path(sigma: Partition, tau: Partition, compress: bool = True) -> Trace:
         return _as_trace(sigma, [])
     fwd, perm_a = _route_to_ground(sigma)
     back, perm_b = _route_to_ground(tau)
-    bridge = ground_path(sigma.region, sigma.targets, perm_a, perm_b).steps
+    bridge = _bridge_steps(sigma.region, sigma.targets, perm_a, perm_b)
     # The builder validated every step of `back` when it emitted it, so each
     # step's `before` is the previous step's `after`; verify_trace below
-    # re-checks the whole returned route.
+    # re-checks the whole returned route and is the only check of the
+    # bridge.
     befores = [tau] + [tau.with_labels(step.after) for step in back[:-1]]
     reversed_back = [
         reverse(step, before) for step, before in zip(back, befores)

@@ -9,12 +9,12 @@ vertex moves an aimed flip walk made from the sampled state; recorded
 reproducers without a seed have sampler null) and its expected outcome:
 "route" or the exact `PathError` text.
 
-Each state is routed to a block state by `path` and, phase by phase, by
-`balance_nearly`, `sweep` and `finish_ground`; every route is re-verified and
-both must end the same way.  One profile hook records which functions of
-`pathfinder.py` ran, and every function and method the module defines, read
-from its code objects, must be among them: a branch added without a fixture
-fails here by name.
+Each state is routed to the block state (1, 2, 3) by `path` and, phase by
+phase, by `balance_nearly`, `sweep`, `finish_ground` and `ground_path`; every
+route is re-verified and both must end the same way.  One profile hook
+records which functions of `pathfinder.py` ran, and every function and
+method the module defines, read from its code objects, must be among them:
+a branch added without a fixture fails here by name.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import pytest
 
 from trirecom import Partition, PathError, build_region, ground_state, path, verify_trace
 from trirecom import pathfinder
-from trirecom.pathfinder import balance_nearly, finish_ground, sweep
+from trirecom.pathfinder import balance_nearly, finish_ground, ground_path, sweep
 from trirecom.partition import BalanceClass, classify
 
 import support
@@ -99,7 +99,9 @@ def _route_by_phases(p: Partition):
     if classify(cur) is BalanceClass.NEARLY_BALANCED:
         cur = verify_trace(cur, balance_nearly(cur))["final"]
     cur = verify_trace(cur, sweep(cur))["final"]
-    return cur, finish_ground(cur)
+    cur = verify_trace(cur, finish_ground(cur))["final"]
+    reached = tuple(dict.fromkeys(cur.labels))  # its blocks' district order
+    return cur, ground_path(cur.region, cur.targets, reached, (1, 2, 3))
 
 
 def _drive(p: Partition) -> str:
