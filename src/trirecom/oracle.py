@@ -5,14 +5,19 @@ and eccentricity statistics.
 Enumeration works on the region's bitboards (see lattice.TriRegion.bit_of).
 Simply connected subsets are grown from their lowest bit with int candidate,
 banned and grown masks, and every yielded subset is checked by
-partition._simply_connected_mask.  Each district-1 subset's complement is
-split into districts 2 and 3 by growing only the piece that holds the
-complement's lowest bit.  The partitions carry the district bitboards they
-were built from."""
+partition._simply_connected_mask.  The window is closed under the six
+symmetries of the triangle, so district 1 runs only over the subsets that are
+the least bitboard of their orbit; each one's complement is split into
+districts 2 and 3 by growing only the piece that holds the complement's
+lowest bit, and each split is emitted as built and under one symmetry per
+other image of district 1.  The partitions carry the district bitboards they
+were built from.  The state graph joins the states that share a district
+bitboard, read off per-district buckets."""
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -88,11 +93,16 @@ def enumerate_omega(
     """Every partition into three simply connected districts whose sizes lie
     within +/- slack of their targets, in deterministic label order.
 
-    District 1 runs over the anchored subsets of the region.  Its complement
-    `rest` must split into districts 2 and 3, so only the piece t holding
-    rest's lowest vertex is grown, over the sizes either district may take;
-    t and rest - t are then the two districts in whichever order(s) their
-    sizes allow, and every split of rest is produced exactly once."""
+    District 1 runs over the anchored subsets m1 of the region that are the
+    least of their images under the reflection and rotations.  Its
+    complement `rest` must split into districts 2 and 3, so only the piece t
+    holding rest's lowest vertex is grown, over the sizes either district may
+    take; t and rest - t are then the two districts in whichever order(s)
+    their sizes allow, and every split of rest is produced exactly once.
+    Each split is emitted as built and mapped through one frame per other
+    image of m1.  The symmetries keep sizes and simple connectivity, and the
+    frames that fix m1 only permute its splits, so every state appears
+    exactly once."""
     if slack not in (0, 1):
         raise ValueError("slack must be 0 or 1")
     if region.n > MAX_ENUMERATION_SIDE:
@@ -107,8 +117,16 @@ def enumerate_omega(
     sizes2 = set(range(k2 - slack, k2 + slack + 1))
     sizes3 = set(range(k3 - slack, k3 + slack + 1))
     full, w = region.full_mask, region.width
-    splits = []
+    # the five symmetries other than the identity
+    frames = [
+        region.frame(reflect, turns)
+        for reflect, turns in itertools.product((False, True), range(3))
+    ][1:]
+    out = []
     for m1 in _anchored_masks(w, sizes1, full, full):
+        images = _orbit_images(region, m1, frames)
+        if images is None:
+            continue
         rest = full ^ m1
         n_rest = rest.bit_count()
         ok2 = {s for s in sizes2 if n_rest - s in sizes3}
@@ -119,13 +137,31 @@ def enumerate_omega(
             u = rest ^ t
             if not _simply_connected_mask(u, w):
                 continue
-            if t.bit_count() in ok2:
-                splits.append((m1, t, u))
-            if u.bit_count() in ok2:
-                splits.append((m1, u, t))
-    out = [_partition(region, targets, masks) for masks in splits]
+            for m2, m3 in ((t, u), (u, t)):
+                if m2.bit_count() not in ok2:
+                    continue
+                p = _partition(region, targets, (m1, m2, m3))
+                out.append(p)
+                for i1, (source, image) in images.items():
+                    q = p.permuted(source)
+                    i2 = region.map_mask(m2, image)
+                    q._masks = (i1, i2, full ^ i1 ^ i2)
+                    out.append(q)
     out.sort(key=lambda p: p.labels)
     return out
+
+
+def _orbit_images(region: TriRegion, m1: int, frames) -> dict | None:
+    # the images of m1 other than m1 itself, each with one frame that maps
+    # m1 onto it; None when some image is less than m1
+    images = {}
+    for source, image in frames:
+        i1 = region.map_mask(m1, image)
+        if i1 < m1:
+            return None
+        if i1 != m1:
+            images.setdefault(i1, (source, image))
+    return images
 
 
 def _partition(
@@ -178,21 +214,28 @@ class StateGraph:
 
 
 def build_state_graph(states: list[Partition]) -> StateGraph:
-    """Recombination adjacency over an enumerated state list: two distinct
+    """Recombination adjacency over a list of distinct states: two distinct
     states are adjacent iff some district has an identical vertex set in
-    both."""
+    both.  Two distinct states cannot share two districts (the third is the
+    complement), so a state's neighbours are its three district buckets
+    merged, less the state itself.  A repeated state raises ValueError."""
     n = len(states)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for d in (1, 2, 3):
-        buckets: dict[int, list[int]] = {}
-        for i, p in enumerate(states):
-            buckets.setdefault(p.masks()[d - 1], []).append(i)
-        for members in buckets.values():
-            for i, j in itertools.combinations(members, 2):
-                if states[i].labels != states[j].labels:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-    adj_sorted = [sorted(s) for s in adjacency]
+    masks = [p.masks() for p in states]
+    if len(set(masks)) != n:
+        raise ValueError("state list repeats a state")
+    buckets: list[dict[int, list[int]]] = [{}, {}, {}]
+    for i, ms in enumerate(masks):
+        for bucket, m in zip(buckets, ms):
+            bucket.setdefault(m, []).append(i)
+    b1, b2, b3 = buckets
+    adj_sorted = []
+    for i, (m1, m2, m3) in enumerate(masks):
+        nbrs = b1[m1] + b2[m2] + b3[m3]
+        nbrs.sort()
+        # i is in all three buckets and no other state is in two
+        k = bisect_left(nbrs, i)
+        del nbrs[k : k + 3]
+        adj_sorted.append(nbrs)
     comp = [-1] * n
     n_comp = 0
     for start in range(n):

@@ -122,6 +122,24 @@ def test_enumerate_matches_bruteforce_n3(omega3_exact, omega3_relaxed):
         assert [p.labels for p in fast] == [p.labels for p in slow]
 
 
+@pytest.mark.parametrize("slack", (0, 1))
+@pytest.mark.parametrize("targets", ((2, 4, 4), (2, 3, 5)))
+def test_enumerate_matches_bruteforce_n4(targets, slack):
+    region = build_region(4)
+    fast = enumerate_omega(region, targets, slack)
+    slow = enumerate_omega_bruteforce(region, targets, slack)
+    assert fast
+    assert [p.labels for p in fast] == [p.labels for p in slow]
+
+
+def test_window_is_closed_under_symmetries():
+    region = build_region(5)
+    labels = {p.labels for p in enumerate_omega(region, (4, 5, 6), 1)}
+    for reflect, turns in itertools.product((False, True), range(3)):
+        source, _ = region.frame(reflect, turns)
+        assert {tuple(lab[i] for i in source) for lab in labels} == labels
+
+
 def test_frozen_counts_n3(omega3_exact, omega3_relaxed):
     assert len(omega3_exact) == 12
     assert len(omega3_relaxed) == 138
@@ -135,6 +153,14 @@ def test_frozen_counts_n4():
     assert len(states) == 510
     graph = build_state_graph(states)
     assert check_connected(graph) == (True, 1)
+    # adjacent exactly when some district bitboard is identical, all pairs
+    masks = [p.masks() for p in states]
+    for i, mi in enumerate(masks):
+        assert graph.adjacency[i] == [
+            j
+            for j, mj in enumerate(masks)
+            if j != i and any(a == b for a, b in zip(mi, mj))
+        ]
 
 
 def test_enumeration_rejects_bad_instances():
@@ -158,6 +184,12 @@ def test_state_graph_edges_are_recombination_moves(omega3_relaxed):
             assert j in graph.adjacency[i]
         else:
             assert j not in graph.adjacency[i]
+
+
+def test_state_graph_rejects_repeated_state(omega3_relaxed):
+    states = list(omega3_relaxed)
+    with pytest.raises(ValueError):
+        build_state_graph(states + [states[5].with_labels(states[5].labels)])
 
 
 def test_rigid_states_n3(omega3_exact):
