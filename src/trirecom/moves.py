@@ -1,12 +1,15 @@
 """Flip and recombination step semantics: validity, application, inversion,
 and lifting flips into recombination steps.
 
-Two flip checks exist.  flip_valid recomputes the simple connectivity of
-both changed districts and assumes nothing about the partition; it is the
-reference in tests and the check on states the caller has not validated.
-neighborhood_flip_test reads only the vertex's six neighbor slots and is
-exact on any partition whose districts are simply connected, which is the
-route builder's emission-time check.
+Two flip checks exist.  neighborhood_flip_test reads only the vertex's six
+neighbor slots and is exact on any partition whose districts are simply
+connected; it is the route builder's emission-time check.  flip_valid
+answers for any partition: on one that partition.classify has found to be a
+window state (the class cached on the partition) it is the local test, and
+otherwise it recomputes the simple connectivity of both changed districts.
+An unclassified partition, or one classified OUTSIDE_OMEGA, is never
+assumed valid, so a flip walk pays the full recomputation only until its
+first accepted step has been classified.
 """
 
 from __future__ import annotations
@@ -41,12 +44,17 @@ class RecomStep:
 
 
 def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
-    """Flip validity by full recomputation, for any partition: the shrinking
-    and the growing district must both stay nonempty and simply connected.
-    Size windows are the caller's concern.  The reference for
-    neighborhood_flip_test in tests, and the check on states nothing has
-    validated (a flip trial on a speculative state, tower resolution,
-    perfbench's state walks)."""
+    """Flip validity for any partition: the shrinking and the growing
+    district must both stay nonempty and simply connected.  Size windows are
+    the caller's concern.  Uses the local test only on a partition classify
+    found valid (BALANCED or NEARLY_BALANCED, read from the class cached on
+    p), where the two are equal; on any other partition, unclassified or
+    OUTSIDE_OMEGA, it recomputes both districts.  The check on states nothing
+    has validated (a flip trial on a speculative state, tower resolution,
+    flip walks)."""
+    cls = p._class
+    if cls is BalanceClass.BALANCED or cls is BalanceClass.NEARLY_BALANCED:
+        return neighborhood_flip_test(p, v, to)
     frm = p.district(v)
     if frm == to:
         return False
@@ -61,13 +69,14 @@ def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
 def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
     """Local flip test, from the vertex's six neighbor slots alone.
     Precondition: the vertex's district and the target district are both
-    simply connected, as in every valid state; then it equals flip_valid
-    (tests check every flip of the n=5 window and of seeded states up to
-    n=32).  The flip is valid when the vertex's district has more than one
-    vertex, its own-district slots form one arc of the slot cycle, and its
-    target-district slots form one nonempty arc.  The route builder checks
-    every flip it emits with this test; its steps start from a validated
-    state, so each flip keeps every district simply connected."""
+    simply connected, as in every valid state; then it equals the full
+    recomputation of flip_valid (tests check every flip of the n=5 window
+    and of seeded states up to n=32).  The flip is valid when the vertex's
+    district has more than one vertex, its own-district slots form one arc
+    of the slot cycle, and its target-district slots form one nonempty arc.
+    The route builder checks every flip it emits with this test; its steps
+    start from a validated state, so each flip keeps every district simply
+    connected."""
     frm = p.district(v)
     if frm == to:
         return False

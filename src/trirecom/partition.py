@@ -12,6 +12,12 @@ connectivity) read a vertex's 6-bit slot pattern out of one district mask,
 tricolor faces come from shifted ANDs of the three masks, and district
 adjacency and the rebalance-case dispatch AND one mask with the neighbor
 shifts of another (lattice.TriRegion.neighbors_mask).
+
+classify caches its answer on the partition, since a Partition is
+immutable; it is the only writer of that cache, and derived partitions
+(with_moves, relabeled, permuted, with_labels) start unclassified.
+moves.flip_valid reads the cache to answer by the local flip test on
+states classify found valid.
 """
 
 from __future__ import annotations
@@ -126,7 +132,10 @@ class Partition:
     """An assignment of every region vertex to district 1, 2, or 3, with size
     targets.  Immutable; mutating operations return new values."""
 
-    __slots__ = ("region", "targets", "labels", "_districts", "_masks", "_hash")
+    __slots__ = (
+        "region", "targets", "labels", "_districts", "_masks", "_hash",
+        "_class",
+    )
 
     def __init__(self, region: TriRegion, targets: Targets, labels: tuple[int, ...]):
         if len(labels) != region.num_vertices:
@@ -139,6 +148,8 @@ class Partition:
         self._districts: Optional[tuple[frozenset, ...]] = None
         self._masks: Optional[tuple[int, int, int]] = None
         self._hash: Optional[int] = None
+        # written only by classify
+        self._class: Optional[BalanceClass] = None
 
     def district(self, v: Vertex) -> int:
         return self.labels[self.region.index_of[v]]
@@ -258,12 +269,17 @@ def in_window(p: Partition) -> bool:
 
 def classify(p: Partition) -> BalanceClass:
     """Balance classification; OUTSIDE_OMEGA on any validity or size-window
-    violation."""
-    if not in_window(p) or not is_valid(p):
-        return BalanceClass.OUTSIDE_OMEGA
-    if p.sizes() == p.targets:
-        return BalanceClass.BALANCED
-    return BalanceClass.NEARLY_BALANCED
+    violation.  Computed on the first call and cached on p (a Partition is
+    immutable); this is the only writer of that cache, which partitions
+    derived from p do not inherit."""
+    if p._class is None:
+        if not in_window(p) or not is_valid(p):
+            p._class = BalanceClass.OUTSIDE_OMEGA
+        elif p.sizes() == p.targets:
+            p._class = BalanceClass.BALANCED
+        else:
+            p._class = BalanceClass.NEARLY_BALANCED
+    return p._class
 
 
 def in_omega(p: Partition) -> bool:

@@ -12,14 +12,17 @@ partition is always a valid state, so a flip is checked by the local
 neighborhood test (moves.neighborhood_flip_test) plus the new state's size
 window; multi-vertex steps go through apply_recom, which classifies the whole
 state.  Candidate scans and flip guards on the builder's state use the local
-test too.  The full recomputation moves.flip_valid remains for the flip
-trial on a speculative state in _interior_valid and inside toolkit's towers
-and unwinding.  verify_trace re-checks every returned route from labels
-alone.  The engine never searches the state space: when a structural
-expectation of a branch fails, a PathError naming the branch is raised
-instead.  Sub-cases that no sampled state reached were deleted; their call
-sites raise such a PathError naming the deleted sub-case (the README's case
-map lists them).
+test too.  moves.flip_valid remains for the flip trial on a speculative
+state in _interior_valid and inside toolkit's towers and unwinding; it takes
+the local test only on a state partition.classify has found valid and
+recomputes both districts on any other, such as those derived, unclassified
+states.  verify_trace re-checks every returned route from labels alone,
+rebuilding and classifying each state itself, so it never reads a class
+cached by its caller.  The engine never searches the state space: when a
+structural expectation of a branch fails, a PathError naming the branch is
+raised instead.  Sub-cases that no sampled state reached were deleted; their
+call sites raise such a PathError naming the deleted sub-case (the README's
+case map lists them).
 
 The builder's per-repair bookkeeping runs on the district bitboards
 (Partition.masks): the removable-vertex scan walks the exposed vertices of a
@@ -1380,7 +1383,7 @@ def _case_c_endgame(
         b.flip(v1, 3, note)
         return
     b.flip(v1, 2, note)
-    if d_neighborhood(b.p, dprime, 3)[1]:
+    if neighborhood_flip_test(b.p, dprime, 3):
         b.flip(dprime, 3, note)
         return
     b.flip(dprime, 1, note)
@@ -2301,12 +2304,14 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
 
 
 def verify_trace(source: Partition, trace: Trace) -> dict:
-    """Independently re-validate the source and every step of the trace."""
+    """Independently re-validate the source and every step of the trace.
+    Every state is rebuilt from labels and classified here, so no class
+    cached on the caller's partitions is consulted."""
     if trace.source != source.labels:
         return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
-    if not in_omega(source):
+    cur = Partition(source.region, source.targets, trace.source)
+    if not in_omega(cur):
         return {"ok": False, "failed_at": -1, "reason": "source outside the window"}
-    cur = source
     for idx, step in enumerate(trace.steps):
         # each state is classified once, as q; cur was the previous q
         q = Partition(source.region, source.targets, step.after)

@@ -9,7 +9,10 @@ flip test (shrink_flips, which the route builder's removable-vertex scan
 shares) and so needs a partition whose districts are simply connected: the
 route builder's state, or an unwinding state reached from one by such
 checked flips.  Towers and the paired flip of an unwinding round re-check
-their flips on intermediate states with the full recomputation, flip_valid.
+their flips on intermediate states with flip_valid: those states are
+derived and unclassified, so it runs the full recomputation; on a state
+partition.classify has found valid it is the local test, which is exact
+there.
 """
 
 from __future__ import annotations

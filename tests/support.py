@@ -118,6 +118,13 @@ def first_open_column_reference(p: Partition) -> int:
     )
 
 
+def unclassified(p: Partition) -> Partition:
+    """A copy of p without the classification cached on it, so flip_valid on
+    the copy runs the full recomputation: the reference for the local flip
+    test, on states the local test would otherwise answer for."""
+    return Partition(p.region, p.targets, p.labels)
+
+
 def balanced_targets(n: int) -> tuple[int, int, int]:
     """Targets as equal as possible, the larger ones last."""
     total = n * (n + 1) // 2

@@ -52,6 +52,7 @@ from support import (
     random_connected_subset,
     random_interior_tripartition,
     state_pool,
+    unclassified,
 )
 
 OMEGA5_COUNT = 3306  # frozen enumeration fixture for n=5, k=(5,5,5), slack 1
@@ -177,7 +178,7 @@ def test_criterion_5b_neighborhood_flip_test(omega5):
         to = rng.randrange(1, 4)
         if neighborhood_flip_test(p, v, to):
             positives += 1
-            assert flip_valid(p, v, to)
+            assert flip_valid(unclassified(p), v, to)
     assert positives > 500
     print(
         f"CRITERION 5b: PASS - {cases} cases, {positives} positive "

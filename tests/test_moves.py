@@ -22,8 +22,14 @@ from trirecom.moves import (
     reverse,
     untouched_of_flip,
 )
+from trirecom.partition import BalanceClass, classify
 
-from support import balanced_targets, bfs_is_simply_connected, random_omega_state
+from support import (
+    balanced_targets,
+    bfs_is_simply_connected,
+    random_omega_state,
+    unclassified,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +61,12 @@ def test_flip_valid_matches_definition(pool5):
 def test_neighborhood_test_implies_flip_valid(pool5):
     positives = 0
     for p in pool5:
+        full = unclassified(p)
         for v in p.region.vertices:
             for to in (1, 2, 3):
                 if neighborhood_flip_test(p, v, to):
                     positives += 1
-                    assert flip_valid(p, v, to)
+                    assert flip_valid(full, v, to)
     assert positives > 100
 
 
@@ -80,24 +87,72 @@ def test_neighborhood_test_rejects_emptying_a_district():
 def test_neighborhood_test_equals_flip_valid_on_the_n5_window(omega5):
     cases = 0
     for p in omega5:
+        full = unclassified(p)
         for v in p.region.vertices:
             for to in (1, 2, 3):
                 if to == p.district(v):
                     continue
                 cases += 1
-                assert neighborhood_flip_test(p, v, to) == flip_valid(p, v, to)
+                assert neighborhood_flip_test(p, v, to) == flip_valid(full, v, to)
     assert cases == 99_180
+
+
+def test_flip_valid_on_the_classified_n5_window_equals_full_recomputation(omega5):
+    cases = 0
+    for p in omega5:
+        assert classify(p) is not BalanceClass.OUTSIDE_OMEGA
+        full = unclassified(p)
+        for v in p.region.vertices:
+            for to in (1, 2, 3):
+                if to == p.district(v):
+                    continue
+                cases += 1
+                assert flip_valid(p, v, to) == flip_valid(full, v, to)
+        assert full._class is None
+    assert cases == 99_180
+
+
+def test_flip_valid_recomputes_on_a_state_classified_outside_the_window():
+    # district 1 is the ring of six vertices around the interior vertex
+    # (3, 2), which alone is district 2: the local test is not exact here
+    region = build_region(5)
+    hub = (3, 2)
+    ring = set(region.neighbors(hub))
+    assert len(ring) == 6
+    labels = tuple(
+        2 if v == hub else 1 if v in ring else 3 for v in region.vertices
+    )
+    p = Partition(region, (6, 1, 8), labels)
+    assert classify(p) is BalanceClass.OUTSIDE_OMEGA
+    full = unclassified(p)
+    disagree = 0
+    for v in region.vertices:
+        frm = p.district(v)
+        for to in (1, 2, 3):
+            if to == frm:
+                continue
+            expected = bfs_is_simply_connected(
+                region, p.district_set(frm) - {v}
+            ) and bfs_is_simply_connected(region, p.district_set(to) | {v})
+            assert flip_valid(full, v, to) == expected
+            assert flip_valid(p, v, to) == expected, (v, to)
+            disagree += neighborhood_flip_test(p, v, to) != expected
+    # e.g. a ring vertex joining district 2 breaks the ring: valid, though
+    # its own-district slots are two arcs
+    assert flip_valid(p, (2, 2), 2) and not neighborhood_flip_test(p, (2, 2), 2)
+    assert disagree > 0
 
 
 def _compare_every_flip(p):
     """(flips compared, valid flips); asserts the local test equals the full
     recomputation on every flip of p."""
     cases = valid = 0
+    full = unclassified(p)
     for v in p.region.vertices:
         for to in (1, 2, 3):
             if to == p.district(v):
                 continue
-            expected = flip_valid(p, v, to)
+            expected = flip_valid(full, v, to)
             assert neighborhood_flip_test(p, v, to) == expected, (p.labels, v, to)
             cases += 1
             valid += expected

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from trirecom import Partition, ground_state, in_omega, build_region
+from trirecom import Partition, flip_valid, ground_state, in_omega, build_region
 from trirecom.partition import (
     BalanceClass,
     case_dispatch,
@@ -30,6 +30,7 @@ from support import (
     random_interior_tripartition,
     random_omega_state,
     scan_tricolor_triangles,
+    unclassified,
 )
 
 
@@ -117,6 +118,39 @@ def test_classify_windows(region5):
     bad = p.with_moves([((1, 1), 2), ((2, 1), 2), ((3, 3), 1), ((4, 1), 1)])
     assert not is_valid(bad)
     assert classify(bad) is BalanceClass.OUTSIDE_OMEGA
+
+
+def test_derived_partitions_are_classified_afresh(region5, pool5):
+    block = ground_state(region5, (5, 5, 5), (1, 2, 3))
+    for p in [block, *pool5[:20]]:
+        cls = classify(p)
+        assert cls is not BalanceClass.OUTSIDE_OMEGA
+        derived = [
+            p.with_moves([]),
+            p.relabeled({1: 2, 2: 3, 3: 1}),
+            p.permuted(region5.frame(True, 0)[0]),
+            p.with_labels(p.labels),
+        ]
+        for q in derived:
+            assert q._class is None
+            assert classify(q) is cls
+        flips = [
+            (v, to)
+            for v in region5.vertices
+            for to in (1, 2, 3)
+            if to != p.district(v)
+        ]
+        full = unclassified(p)
+        broken = [f for f in flips if not flip_valid(full, *f)]
+        assert broken
+        for v, to in broken:
+            q = p.with_moves([(v, to)])
+            assert classify(q) is BalanceClass.OUTSIDE_OMEGA
+            assert classify(p.with_labels(q.labels)) is BalanceClass.OUTSIDE_OMEGA
+        if cls is BalanceClass.BALANCED:
+            v, to = next(f for f in flips if f not in broken)
+            assert classify(p.with_moves([(v, to)])) is BalanceClass.NEARLY_BALANCED
+        assert classify(p) is cls
 
 
 def test_partition_requires_matching_targets(region5):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from trirecom import (
+    Partition,
     PathError,
     Trace,
     apply_flip,
@@ -31,7 +32,7 @@ from trirecom.pathfinder import (
     sweep,
 )
 
-from support import TARGETS_BY_SIDE, random_omega_state
+from support import TARGETS_BY_SIDE, random_omega_state, unclassified
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,18 @@ def test_verify_trace_detects_corruption(pool5):
         assert not report["ok"] and report["failed_at"] == -1
 
 
+def test_verify_trace_ignores_a_class_cached_on_the_source(region5):
+    # district 3 cut in two: outside the window whatever its cached class
+    p = ground_state(region5, (5, 5, 5), (1, 2, 3))
+    bad = p.with_moves([((1, 1), 3), ((2, 1), 2)])
+    assert not in_omega(Partition(region5, bad.targets, bad.labels))
+    bad._class = BalanceClass.BALANCED  # forged
+    report = verify_trace(bad, Trace(bad.labels, []))
+    assert not report["ok"]
+    assert report["failed_at"] == -1
+    assert report["reason"] == "source outside the window"
+
+
 # -- the step builder: frames, rollback, candidate loops ----------------------
 
 #: (reflect, turns) for the identity, the reflection and both rotations.
@@ -348,19 +361,20 @@ def test_builder_flip_accepts_exactly_the_valid_window_flips(pool5):
     # is the full recomputation plus classification of the flipped state
     outcomes = {"ok": 0, "is not valid": 0, "leaves the window": 0}
     for p in pool5[:20]:
+        full = unclassified(p)
         for v in p.region.vertices:
             for to in (1, 2, 3):
                 if to == p.district(v):
                     continue
                 b = _Builder(p)
                 q = apply_flip(p, v, to)
-                if flip_valid(p, v, to) and in_omega(q):
+                if flip_valid(full, v, to) and in_omega(q):
                     b.flip(v, to, "check")
                     assert b.p == q and len(b.steps) == 1
                     outcomes["ok"] += 1
                     continue
                 expected = (
-                    "leaves the window" if flip_valid(p, v, to) else "is not valid"
+                    "leaves the window" if flip_valid(full, v, to) else "is not valid"
                 )
                 with pytest.raises(PathError, match=expected):
                     b.flip(v, to, "check")

@@ -23,7 +23,7 @@ from trirecom.toolkit import (
 )
 from trirecom.partition import is_exposed
 
-from support import random_connected_subset, random_omega_state
+from support import random_connected_subset, random_omega_state, unclassified
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,12 @@ def pool5():
 
 
 def _shrink_reference(p, subset, prefer):
+    full = unclassified(p)
     for v in sorted(subset, key=ordering_index):
         if not is_exposed(p, v) or is_cut_vertex(p, v):
             continue
         for to in prefer:
-            if to != p.district(v) and flip_valid(p, v, to):
+            if to != p.district(v) and flip_valid(full, v, to):
                 return v, to
     return None
 
@@ -59,7 +60,7 @@ def test_find_shrink_vertex_matches_reference(pool5):
                     got = find_shrink_vertex(p, p.district_set(d), prefer)
                     assert got == expected
                     v, to = got
-                    assert flip_valid(p, v, to)
+                    assert flip_valid(unclassified(p), v, to)
                     found += 1
     assert found > 50
 
