@@ -1,15 +1,20 @@
-"""Flip and recombination step semantics: validity, application, inversion,
-and lifting flips into recombination steps.
+"""Flip and recombination step semantics: validity, application and
+inversion.
 
 Two flip checks exist.  neighborhood_flip_test reads only the vertex's six
 neighbor slots and is exact on any partition whose districts are simply
-connected; it is the route builder's emission-time check.  flip_valid
-answers for any partition: on one that partition.classify has found to be a
-window state (the class cached on the partition) it is the local test, and
-otherwise it recomputes the simple connectivity of both changed districts.
-An unclassified partition, or one classified OUTSIDE_OMEGA, is never
-assumed valid, so a flip walk pays the full recomputation only until its
-first accepted step has been classified.
+connected.  flip_valid answers for any partition: on one known valid (its
+carried validity, see partition) it is the local test, and otherwise it
+recomputes the simple connectivity of both changed districts.
+
+Applying a step carries validity forward where it is proved.  apply_flip on
+a valid parent stores the local test's answer on the flipped state: the
+untouched district is unchanged and the local test decides the two changed
+ones exactly, so a failing flip stores False.  apply_recom on a valid parent
+flood-fills only the two districts the step changes, since it has just
+checked that the third is unchanged.  A flip walk therefore pays
+whole-district flood fills only until its first accepted step is classified,
+and a tower from a valid state pays none.
 """
 
 from __future__ import annotations
@@ -46,14 +51,11 @@ class RecomStep:
 def flip_valid(p: Partition, v: Vertex, to: int) -> bool:
     """Flip validity for any partition: the shrinking and the growing
     district must both stay nonempty and simply connected.  Size windows are
-    the caller's concern.  Uses the local test only on a partition classify
-    found valid (BALANCED or NEARLY_BALANCED, read from the class cached on
-    p), where the two are equal; on any other partition, unclassified or
-    OUTSIDE_OMEGA, it recomputes both districts.  The check on states nothing
-    has validated (a flip trial on a speculative state, tower resolution,
-    flip walks)."""
-    cls = p._class
-    if cls is BalanceClass.BALANCED or cls is BalanceClass.NEARLY_BALANCED:
+    the caller's concern.  The local test on a partition known valid, where
+    the two are equal; on any other partition it recomputes both districts.
+    The check on states nothing else has validated (a flip trial on a
+    speculative state, tower resolution, flip walks)."""
+    if p._valid:
         return neighborhood_flip_test(p, v, to)
     frm = p.district(v)
     if frm == to:
@@ -74,9 +76,8 @@ def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
     and of seeded states up to n=32).  The flip is valid when the vertex's
     district has more than one vertex, its own-district slots form one arc
     of the slot cycle, and its target-district slots form one nonempty arc.
-    The route builder checks every flip it emits with this test; its steps
-    start from a validated state, so each flip keeps every district simply
-    connected."""
+    apply_flip stores this test's answer as the validity of a flip from a
+    valid state, and the route builder reads it for every flip it emits."""
     frm = p.district(v)
     if frm == to:
         return False
@@ -90,18 +91,17 @@ def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
 
 
 def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:
-    return p.with_moves([(v, to)])
+    """The partition with v moved to district `to`.  On a partition known
+    valid the result carries its exact validity: the local test's answer,
+    or p's own when the move changes nothing."""
+    q = p.with_moves([(v, to)])
+    if p._valid:
+        q._valid = p.district(v) == to or neighborhood_flip_test(p, v, to)
+    return q
 
 
 def untouched_of_flip(frm: int, to: int) -> int:
     return ({1, 2, 3} - {frm, to}).pop()
-
-
-def lift_flip(p: Partition, v: Vertex, to: int, note: str = "") -> RecomStep:
-    """The flip expressed as a recombination step from p."""
-    frm = p.district(v)
-    q = apply_flip(p, v, to)
-    return RecomStep(untouched_of_flip(frm, to), q.labels, note)
 
 
 def recom_valid(p: Partition, q: Partition) -> bool:
@@ -118,13 +118,20 @@ def recom_valid(p: Partition, q: Partition) -> bool:
 
 def apply_recom(p: Partition, step: RecomStep) -> Partition:
     """Apply a recombination step, validating the untouched district and the
-    resulting state."""
+    resulting state.  From a partition known valid only the two districts
+    the step changes are flood-filled."""
     q = p.with_labels(step.after)
     d = step.untouched - 1
-    if q.masks()[d] != p.masks()[d]:
+    masks = q.masks()
+    if masks[d] != p.masks()[d]:
         raise ValueError("recombination step changes its untouched district")
     if q.labels == p.labels:
         raise ValueError("recombination step must change the partition")
+    if p._valid:
+        w = q.region.width
+        q._valid = all(
+            _simply_connected_mask(m, w) for i, m in enumerate(masks) if i != d
+        )
     if classify(q) is BalanceClass.OUTSIDE_OMEGA:
         raise ValueError("recombination step leaves Omega")
     return q

@@ -13,11 +13,19 @@ tricolor faces come from shifted ANDs of the three masks, and district
 adjacency and the rebalance-case dispatch AND one mask with the neighbor
 shifts of another (lattice.TriRegion.neighbors_mask).
 
-classify caches its answer on the partition, since a Partition is
-immutable; it is the only writer of that cache, and derived partitions
-(with_moves, relabeled, permuted, with_labels) start unclassified.
-moves.flip_valid reads the cache to answer by the local flip test on
-states classify found valid.
+A Partition is immutable, so two answers are cached on it.  Its validity
+(_valid: all three districts nonempty and simply connected, None while
+unknown) is written by is_valid, which flood-fills the three masks, and by a
+derivation only where the answer is proved: relabeled and permuted keep it
+(a relabeling or lattice symmetry keeps every district's shape),
+moves.apply_flip sets it from the local flip test on a valid parent, where
+that test is exact, and moves.apply_recom from flood fills of the two
+districts a step changes on a valid parent.  The constructor, with_moves and
+with_labels leave it unknown.  classify caches the balance class, is its
+only writer, reads validity through is_valid and so adds only the size
+window on a partition that carries it; derived partitions start
+unclassified.  moves.flip_valid answers by the local flip test on any
+partition known valid.
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ class Partition:
 
     __slots__ = (
         "region", "targets", "labels", "_districts", "_masks", "_hash",
-        "_class",
+        "_valid", "_class",
     )
 
     def __init__(self, region: TriRegion, targets: Targets, labels: tuple[int, ...]):
@@ -148,6 +156,9 @@ class Partition:
         self._districts: Optional[tuple[frozenset, ...]] = None
         self._masks: Optional[tuple[int, int, int]] = None
         self._hash: Optional[int] = None
+        # is_valid's answer, None until known: written by is_valid, and by a
+        # derivation only where it proves the answer (see the module doc)
+        self._valid: Optional[bool] = None
         # written only by classify
         self._class: Optional[BalanceClass] = None
 
@@ -209,12 +220,14 @@ class Partition:
 
     def relabeled(self, perm: dict[int, int]) -> "Partition":
         """Apply a district relabeling: old label d becomes perm[d].  Targets,
-        cached masks and cached district sets move with their districts."""
+        cached masks and cached district sets move with their districts, and
+        known validity is kept."""
         inv = {new: old for old, new in perm.items()}
         table = bytes.maketrans(b"\1\2\3", bytes((perm[1], perm[2], perm[3])))
         labels = tuple(bytes(self.labels).translate(table))
         targets = tuple(self.targets[inv[d] - 1] for d in DISTRICTS)
         q = Partition(self.region, targets, labels)
+        q._valid = self._valid
         if self._masks is not None:
             q._masks = tuple(self._masks[inv[d] - 1] for d in DISTRICTS)
         if self._districts is not None:
@@ -224,9 +237,12 @@ class Partition:
     def permuted(self, source: tuple[int, ...]) -> "Partition":
         """The image under a vertex permutation given by its source index
         array: vertex j of the image takes the label of vertex source[j]
-        (see lattice.TriRegion.frame)."""
+        (see lattice.TriRegion.frame).  A lattice symmetry keeps validity,
+        so a known answer is kept."""
         labels = tuple(map(self.labels.__getitem__, source))
-        return Partition(self.region, self.targets, labels)
+        q = Partition(self.region, self.targets, labels)
+        q._valid = self._valid
+        return q
 
     def reflected(self) -> "Partition":
         """The mirror image under the column-fixing reflection."""
@@ -257,9 +273,12 @@ class Partition:
 
 
 def is_valid(p: Partition) -> bool:
-    """All three districts nonempty and simply connected."""
-    w = p.region.width
-    return all(_simply_connected_mask(m, w) for m in p.masks())
+    """All three districts nonempty and simply connected.  Read from p when
+    known; otherwise flood-filled and stored on p."""
+    if p._valid is None:
+        w = p.region.width
+        p._valid = all(_simply_connected_mask(m, w) for m in p.masks())
+    return p._valid
 
 
 def in_window(p: Partition) -> bool:
@@ -271,7 +290,8 @@ def classify(p: Partition) -> BalanceClass:
     """Balance classification; OUTSIDE_OMEGA on any validity or size-window
     violation.  Computed on the first call and cached on p (a Partition is
     immutable); this is the only writer of that cache, which partitions
-    derived from p do not inherit."""
+    derived from p do not inherit.  Validity is read through is_valid, so
+    only the size window is new work on a partition that carries it."""
     if p._class is None:
         if not in_window(p) or not is_valid(p):
             p._class = BalanceClass.OUTSIDE_OMEGA
@@ -292,15 +312,10 @@ def _slots_in(p: Partition, v: Vertex, d: int) -> int:
     return p.region.slot_pattern(p.masks()[d - 1], v)
 
 
-def d_neighborhood(
-    p: Partition, v: Vertex, d: int
-) -> tuple[frozenset[Vertex], bool]:
-    """(N(v) in district d, whether that set is one contiguous arc of the
-    6-slot cycle).  The empty set is vacuously connected."""
-    pattern = _slots_in(p, v, d)
-    slots = p.region.neighbors_cyclic(v)
-    members = frozenset(slots[i] for i in range(6) if pattern >> i & 1)
-    return members, ONE_ARC[pattern]
+def at_most_one_arc(p: Partition, v: Vertex, d: int) -> bool:
+    """True iff v's district-d neighbors form at most one contiguous arc of
+    the 6-slot cycle; true when v has no district-d neighbor."""
+    return ONE_ARC[_slots_in(p, v, d)]
 
 
 def own_neighborhood_connected(p: Partition, v: Vertex) -> bool:

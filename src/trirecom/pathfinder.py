@@ -8,21 +8,24 @@ into block position.  Two such routes are joined through the block states.
 
 Each step is validated once, when it is emitted, in the frame of the
 procedure that made it, then recorded in root labels.  The builder's
-partition is always a valid state, so a flip is checked by the local
-neighborhood test (moves.neighborhood_flip_test) plus the new state's size
-window; multi-vertex steps go through apply_recom, which classifies the whole
-state.  Candidate scans and flip guards on the builder's state use the local
-test too.  moves.flip_valid remains for the flip trial on a speculative
-state in _interior_valid and inside toolkit's towers and unwinding; it takes
-the local test only on a state partition.classify has found valid and
-recomputes both districts on any other, such as those derived, unclassified
-states.  verify_trace re-checks every returned route from labels alone,
-rebuilding and classifying each state itself, so it never reads a class
-cached by its caller.  The engine never searches the state space: when a
-structural expectation of a branch fails, a PathError naming the branch is
-raised instead.  Sub-cases that no sampled state reached were deleted; their
-call sites raise such a PathError naming the deleted sub-case (the README's
-case map lists them).
+partition is always a valid state and carries that answer (see partition):
+a flip is applied by moves.apply_flip, which stores the local neighborhood
+test's exact answer on the flipped state, so the builder reads it and checks
+only the new state's size window; multi-vertex steps go through apply_recom,
+which flood-fills the two districts a step changes.  Frames keep the answer,
+since relabeled and permuted carry it.  Candidate scans and flip guards on
+the builder's state use the local test too, and so does moves.flip_valid on
+the flip trial of a speculative state in _interior_valid and inside
+toolkit's towers and unwinding: each of those states comes from the
+builder's by apply_flip and so is known valid or known invalid, and
+flip_valid recomputes both districts on any state not known valid.
+verify_trace re-checks every returned route from labels alone, rebuilding
+and classifying each state itself, so it never reads a validity or class
+carried by its caller's partitions.  The engine never searches the state
+space: when a structural expectation of a branch fails, a PathError naming
+the branch is raised instead.  Sub-cases that no sampled state reached were
+deleted; their call sites raise such a PathError naming the deleted sub-case
+(the README's case map lists them).
 
 The builder's per-repair bookkeeping runs on the district bitboards
 (Partition.masks): the removable-vertex scan walks the exposed vertices of a
@@ -53,15 +56,16 @@ from .partition import (
     BalanceClass,
     Partition,
     Targets,
+    at_most_one_arc,
     case_dispatch,
     classify,
     component_of,
     connected_components,
-    d_neighborhood,
     districts_adjacent,
     ground_state,
     in_omega,
     in_window,
+    is_valid,
     tricolor_triangles,
 )
 from .toolkit import (
@@ -152,16 +156,17 @@ class _Builder:
         self.p = q
 
     def flip(self, v: Vertex, to: int, note: str) -> None:
-        # self.p is valid, so the local test decides validity exactly and
-        # the flipped state needs only its size window checked
+        # self.p is known valid, so apply_flip stores the local test's exact
+        # answer on the flipped state and only its size window is new work
         if self.p.region.bit_of[v] & self.frozen:
             raise PathError(note, f"flip would reassign frozen vertex {v}")
-        if not neighborhood_flip_test(self.p, v, to):
-            raise PathError(note, f"flip {v} -> {to} is not valid")
+        frm = self.p.district(v)
         q = apply_flip(self.p, v, to)
+        if frm == to or not is_valid(q):
+            raise PathError(note, f"flip {v} -> {to} is not valid")
         if not in_window(q):
             raise PathError(note, f"flip {v} -> {to} leaves the window")
-        self._record(q, untouched_of_flip(self.p.district(v), to), note)
+        self._record(q, untouched_of_flip(frm, to), note)
 
     def extend(self, steps) -> None:
         for step in steps:
@@ -404,7 +409,7 @@ def _advance_column(b: _Builder, i: int) -> None:
     district 1 one vertex oversized.  Columns < i stay in district 1."""
     p = b.p
     region = p.region
-    col = sorted(region.column(i), key=ordering_index)
+    col = region.vertices[i * (i - 1) // 2 : i * (i + 1) // 2]
     pair = None
     for r in range(len(col) - 1):
         w, v = col[r], col[r + 1]
@@ -525,10 +530,10 @@ def _case_a(b: _Builder, i: int) -> None:
 
 def _case_a_pair(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
     p = b.p
-    if not d_neighborhood(p, a, 3)[1]:
+    if not at_most_one_arc(p, a, 3):
         _p2_pocket(b, i, a)
         return
-    if d_neighborhood(p, a, 2)[1]:
+    if at_most_one_arc(p, a, 2):
         _case_a_valid(b, i, a, bb)
     else:
         _case_a_invalid(b, i, a, bb)
@@ -584,7 +589,7 @@ def _case_a_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
             b.flip(v, 2, note)
             b.flip(a, 3, note)
             return
-        if d_neighborhood(p, c, 3)[1]:
+        if at_most_one_arc(p, c, 3):
             b.flip(c, 3, note)
             return
         _p1_pocket_bdry(b, i, c)
@@ -623,7 +628,7 @@ def _case_a_invalid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
     f = _other_common(region, d, c, a)
     g = _other_common(region, d, f, c)
     h = _other_common(region, d, g, f)
-    if not d_neighborhood(p, d, 2)[1]:
+    if not at_most_one_arc(p, d, 2):
         if p.district(g) != 2 or p.district(h) == 3:
             raise PathError("boundary-pair/d2-discon", "forced labels absent")
         if p.district(f) == 3:
@@ -666,10 +671,10 @@ def _interior_pair(
     dispatch on the connectivity of a's district-2 and district-3
     neighborhoods."""
     p = b.p
-    if not d_neighborhood(p, a, 3)[1]:
+    if not at_most_one_arc(p, a, 3):
         _p2_pocket(b, i, a)
         return
-    if d_neighborhood(p, a, 2)[1]:
+    if at_most_one_arc(p, a, 2):
         _interior_valid(b, i, a, bb)
         return
     _interior_split(b, i, a, bb, c, depth)
@@ -733,7 +738,7 @@ def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
     e = _other_common(region, v, d, c)
     if any(p.district(u) != 1 for u in (c, d, e)):
         raise PathError(note, "boundary arc not in district 1")
-    if not d_neighborhood(p, c, 3)[1]:
+    if not at_most_one_arc(p, c, 3):
         _p1_pocket(b, i, c)
         return
     if neighborhood_flip_test(p, c, 3):
@@ -869,7 +874,7 @@ def _interior_split_left(
     if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
-    if not d_neighborhood(p, c, 3)[1]:
+    if not at_most_one_arc(p, c, 3):
         _p1_pocket(b, i, c)
         return
     cyc = path_within(region, p.district_set(1), c, e) + [a]
@@ -957,7 +962,7 @@ def _interior_split_one(
         b.flip(e, 2, note)
         b.flip(a, 3, note)
         return
-    if d_neighborhood(p, e, 1)[1]:
+    if at_most_one_arc(p, e, 1):
         if neighborhood_flip_test(p, e, 3):
             b.flip(e, 3, note)
             return
@@ -1046,7 +1051,7 @@ def _interior_split_two(
             break
     if h is OUTSIDE or h is None or p.district(h) != 1:
         raise PathError(note, "first non-2 witness around e not in district 1")
-    if d_neighborhood(p, e, 1)[1]:
+    if at_most_one_arc(p, e, 1):
         raise PathError(note, "e connected yet unfippable to district 2")
     s1, s2, same_side = _split_arms(p, a, c, e)
     if not same_side:
@@ -1137,12 +1142,12 @@ def _case_c(b: _Builder, i: int) -> None:
         raise PathError(note, f"expected two tricolor faces, got {len(tris)}")
     for tri in tris:
         a = tri.vertex_in(p, 2)
-        if not d_neighborhood(p, a, 3)[1]:
+        if not at_most_one_arc(p, a, 3):
             _p2_pocket(b, i, a)
             return
     for tri in tris:
         a = tri.vertex_in(p, 2)
-        if d_neighborhood(p, a, 2)[1]:
+        if at_most_one_arc(p, a, 2):
             _interior_valid(b, i, a, tri.vertex_in(p, 3))
             return
     for tri in tris:
@@ -1210,10 +1215,10 @@ def _case_c_abd(b: _Builder, i: int, a: Vertex, bbv: Vertex, c: Vertex) -> None:
     note = "interior-3"
     p = b.p
     region = p.region
-    if not d_neighborhood(p, c, 3)[1]:
+    if not at_most_one_arc(p, c, 3):
         _p1_pocket_bdry(b, i, c)
         return
-    if d_neighborhood(p, c, 1)[1]:
+    if at_most_one_arc(p, c, 1):
         b.flip(c, 3, note)
         return
     f = _other_common(region, c, bbv, a)
@@ -1266,7 +1271,7 @@ def _case_c_dispatch(
         if neighborhood_flip_test(p, c, 3):
             b.flip(c, 3, note)
             return
-        if not d_neighborhood(p, c, 3)[1]:
+        if not at_most_one_arc(p, c, 3):
             _p1_pocket_bdry(b, i, c)
             return
         raise PathError(note, "deleted sub-case: c cuts off a district-1 arm")
@@ -1274,7 +1279,7 @@ def _case_c_dispatch(
         b.flip(e, 2, note)
         _case_c_post(b, i, a, bbv, c, depth)
         return
-    if d_neighborhood(p, e, 1)[1]:
+    if at_most_one_arc(p, e, 1):
         if region.is_boundary(e):
             raise PathError(note, "boundary e with a connected 1-neighborhood")
         if neighborhood_flip_test(p, e, 3):
@@ -1293,7 +1298,7 @@ def _case_c_dispatch(
     if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
-    if not d_neighborhood(p, c, 3)[1]:
+    if not at_most_one_arc(p, c, 3):
         _p1_pocket_bdry(b, i, c)
         return
     away_c = [
@@ -1458,7 +1463,7 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
     if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, note)
         return
-    if not d_neighborhood(p, a, 3)[1]:
+    if not at_most_one_arc(p, a, 3):
         _p1_pocket_bdry(b, i, a)
         return
     c = _sole_common(region, a, bv)
@@ -1466,7 +1471,7 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
     e = _other_common(region, a, d, c)
     if p.district(c) != 1 or p.district(e) != 1 or p.district(d) != 2:
         raise PathError(note, "forced junction labels absent")
-    if d_neighborhood(p, d, 1)[1] and d_neighborhood(p, d, 2)[1]:
+    if at_most_one_arc(p, d, 1) and at_most_one_arc(p, d, 2):
         _case_d_one(b, i, a, d, c, e)
         return
     f = _other_common(region, d, c, a)
@@ -1474,7 +1479,7 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
     h = _other_common(region, d, g, f)
     if p.district(f) != 2 or p.district(g) != 1 or p.district(h) != 2:
         raise PathError(note, "forced wedge labels absent")
-    if d_neighborhood(p, g, 1)[1] and d_neighborhood(p, g, 2)[1]:
+    if at_most_one_arc(p, g, 1) and at_most_one_arc(p, g, 2):
         _case_d_2a(b, i, a, bv, d, g)
         return
     _case_d_2b(b, i, a, bv, d, f, g, h)
@@ -1509,7 +1514,7 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
             break
     if y is None or z is None or p.district(z) != 2:
         raise PathError(note, "wedge scan found no handoff pair")
-    if d_neighborhood(p, y, 1)[1]:
+    if at_most_one_arc(p, y, 1):
         if neighborhood_flip_test(p, y, 3):
             b.flip(y, 3, note)
             return
@@ -1741,7 +1746,7 @@ def _ground_round(b: _Builder, i: int) -> None:
     region = p.region
     k2 = p.targets[1]
     s1 = p.district_set(1)
-    col = sorted(region.column(i), key=ordering_index)
+    col = region.vertices[i * (i - 1) // 2 : i * (i + 1) // 2]
     v = next(u for u in col if u not in s1)
     run = []
     for u in col[col.index(v) :]:
@@ -1873,8 +1878,8 @@ def _nb_junction(b: _Builder, a: Vertex, bv: Vertex, depth: int) -> None:
         seq.reverse()
     if seq[0] != bv:
         raise PathError(note, "deficit neighbor not at the junction arc end")
-    i_conn = d_neighborhood(p, a, 1)[1]
-    l_conn = d_neighborhood(p, a, 3)[1]
+    i_conn = at_most_one_arc(p, a, 1)
+    l_conn = at_most_one_arc(p, a, 3)
     if i_conn and l_conn:
         raise PathError(note, "junction vertex connected yet unflippable")
     if not i_conn and not l_conn:
@@ -1904,13 +1909,13 @@ def _nb_junction_wedge(b: _Builder, a: Vertex, seq, depth: int) -> None:
     c, d, e = seq[1], seq[2], seq[3]
     if p.district(c) != 1 or p.district(d) != 2 or p.district(e) != 1:
         raise PathError(note, "forced wedge labels absent")
-    if d_neighborhood(p, d, 1)[1] and d_neighborhood(p, d, 2)[1]:
+    if at_most_one_arc(p, d, 1) and at_most_one_arc(p, d, 2):
         _nb_dclean(b, a, d)
         return
     f = _other_common(region, d, c, a)
     g = _other_common(region, d, f, c)
     h = _other_common(region, d, e, a)
-    if not d_neighborhood(p, d, 1)[1]:
+    if not at_most_one_arc(p, d, 1):
         if p.district(g) != 1 or p.district(f) == 1 or p.district(h) == 1:
             raise PathError(note, "forced cut-wedge labels absent")
         qpath = path_within(region, p.district_set(1), a, g)
@@ -2036,7 +2041,7 @@ def _nb_tric(b: _Builder, depth: int) -> None:
             return
     pivots = [t for t in info if not region.is_boundary(t[0])]
     for av, bv3, cv2 in pivots:
-        if d_neighborhood(p, av, 1)[1]:
+        if at_most_one_arc(p, av, 1):
             raise PathError(
                 note, "deleted sub-case: pivot with a whole district-1 neighborhood"
             )
@@ -2090,7 +2095,7 @@ def _nb_cmach(
             return
         _nb_rebalance(b, depth + 1)
         return
-    if d_neighborhood(p, cv, 2)[1]:
+    if at_most_one_arc(p, cv, 2):
         raise PathError(note, "settled pivot connected yet unflippable")
     cset = set(cycp) - {cv, av}
     away = [
@@ -2305,8 +2310,8 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
 
 def verify_trace(source: Partition, trace: Trace) -> dict:
     """Independently re-validate the source and every step of the trace.
-    Every state is rebuilt from labels and classified here, so no class
-    cached on the caller's partitions is consulted."""
+    Every state is rebuilt from labels and classified here, so no validity
+    or class carried by the caller's partitions is consulted."""
     if trace.source != source.labels:
         return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
     cur = Partition(source.region, source.targets, trace.source)

@@ -9,10 +9,11 @@ flip test (shrink_flips, which the route builder's removable-vertex scan
 shares) and so needs a partition whose districts are simply connected: the
 route builder's state, or an unwinding state reached from one by such
 checked flips.  Towers and the paired flip of an unwinding round re-check
-their flips on intermediate states with flip_valid: those states are
-derived and unclassified, so it runs the full recomputation; on a state
-partition.classify has found valid it is the local test, which is exact
-there.
+their flips with flip_valid and apply each flip once (moves.apply_flip).
+From a state known valid, apply_flip carries the local test's exact answer
+to the flipped state, so every checked intermediate state is known valid and
+flip_valid on it is the local test; from a start state whose validity is
+unknown, flip_valid recomputes both changed districts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from .lattice import ONE_ARC, OUTSIDE, TriRegion, Vertex, ordering_index
-from .moves import RecomStep, apply_flip, flip_valid, lift_flip
+from .moves import RecomStep, apply_flip, flip_valid, untouched_of_flip
 from .partition import Partition, component_of
 
 
@@ -256,6 +257,16 @@ def cycle_recombine(
 # -- towers -------------------------------------------------------------------
 
 
+def _flip(
+    p: Partition, v: Vertex, to: int, note: str, steps: list[RecomStep]
+) -> Partition:
+    """Apply the flip once and append it to `steps` as a recombination
+    step."""
+    q = apply_flip(p, v, to)
+    steps.append(RecomStep(untouched_of_flip(p.district(v), to), q.labels, note))
+    return q
+
+
 def build_tower(p: Partition, v1: Vertex, v2: Vertex) -> tuple[list[Vertex], Vertex]:
     """The tower starting at top v1 with second vertex v2 on the line through
     them, as (tower vertices, the first vertex past the bottom).  Requires a
@@ -299,8 +310,7 @@ def execute_tower(
         target = cur.district(chain[i - 1])
         if not flip_valid(cur, v, target):
             raise StructuralError(f"tower flip {v} -> {target} invalid")
-        steps.append(lift_flip(cur, v, target, note))
-        cur = apply_flip(cur, v, target)
+        cur = _flip(cur, v, target, note, steps)
     return cur, steps
 
 
@@ -344,17 +354,14 @@ def unwind(
     while True:
         v1, to1 = find_shrink_vertex(cur, s1, (d3, d2))
         if to1 == d3:
-            steps.append(lift_flip(cur, v1, d3, note))
-            cur = apply_flip(cur, v1, d3)
+            cur = _flip(cur, v1, d3, note, steps)
             return cur, steps, "balanced"
         v2, to2 = find_shrink_vertex(cur, s2 - {protected}, (d3, d1))
-        steps.append(lift_flip(cur, v1, d2, note))
-        cur = apply_flip(cur, v1, d2)
+        cur = _flip(cur, v1, d2, note, steps)
         s1.discard(v1)
         if not flip_valid(cur, v2, to2):
             raise StructuralError("arm flip invalidated by the paired flip")
-        steps.append(lift_flip(cur, v2, to2, note))
-        cur = apply_flip(cur, v2, to2)
+        cur = _flip(cur, v2, to2, note, steps)
         if to2 == d3:
             return cur, steps, "balanced"
         s2.discard(v2)

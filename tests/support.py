@@ -18,7 +18,7 @@ from trirecom import (
     in_omega,
 )
 from trirecom.lattice import ordering_index
-from trirecom.moves import neighborhood_flip_test
+from trirecom.moves import RecomStep, neighborhood_flip_test, untouched_of_flip
 from trirecom.partition import (
     BalanceClass,
     TricolorTriangle,
@@ -119,10 +119,17 @@ def first_open_column_reference(p: Partition) -> int:
 
 
 def unclassified(p: Partition) -> Partition:
-    """A copy of p without the classification cached on it, so flip_valid on
-    the copy runs the full recomputation: the reference for the local flip
-    test, on states the local test would otherwise answer for."""
+    """A copy of p built from its labels alone, without the validity and
+    the classification p may carry, so flip_valid on the copy runs the full
+    recomputation and classify on it flood-fills every district: the
+    reference for the local flip test and for carried validity."""
     return Partition(p.region, p.targets, p.labels)
+
+
+def lift_flip(p: Partition, v, to: int, note: str = "") -> RecomStep:
+    """The flip expressed as a recombination step from p."""
+    q = apply_flip(p, v, to)
+    return RecomStep(untouched_of_flip(p.district(v), to), q.labels, note)
 
 
 def balanced_targets(n: int) -> tuple[int, int, int]:

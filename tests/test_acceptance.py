@@ -24,7 +24,6 @@ from trirecom import (
 )
 from trirecom.moves import (
     apply_recom,
-    lift_flip,
     neighborhood_flip_test,
     recom_valid,
     reverse,
@@ -49,6 +48,7 @@ from trirecom.toolkit import (
 
 from support import (
     boundary_pair_alternates,
+    lift_flip,
     random_connected_subset,
     random_interior_tripartition,
     state_pool,

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from trirecom import PathError, build_region, path
+from trirecom import Partition, PathError, build_region, path
+from trirecom.moves import apply_recom
+from trirecom.partition import is_valid
 
 from support import random_omega_state
 
@@ -96,6 +98,36 @@ def test_golden_digests_unchanged(name):
         if (outcome, digest) != (pair["outcome"], pair["digest"]):
             moved.append(f"{name}/seed={pair['seed']} ({pair['outcome']} -> {outcome})")
     assert not moved, "golden digests moved: " + ", ".join(moved)
+
+
+def test_apply_recom_carries_validity_along_golden_routes():
+    # the first routed pairs of each group, raw and compressed: every state
+    # apply_recom reaches from a valid one carries the validity a fresh
+    # check finds
+    routes = steps = 0
+    for n, targets, attempts, _ in GROUPS:
+        region = build_region(n)
+        for i in range(3):
+            if routes == 20:
+                break
+            rng = random.Random(1000 * n + 17 * attempts + i)
+            sigma = random_omega_state(region, targets, rng, attempts)
+            tau = random_omega_state(region, targets, rng, attempts)
+            try:
+                traces = [path(sigma, tau, compress=False), path(sigma, tau)]
+            except PathError:
+                continue
+            routes += 1
+            for trace in traces:
+                cur = sigma
+                assert cur._valid is True
+                for step in trace.steps:
+                    q = apply_recom(cur, step)
+                    assert q._valid is is_valid(Partition(region, targets, q.labels))
+                    cur = q
+                    steps += 1
+                assert cur.labels == tau.labels
+    assert routes == 20 and steps > 200
 
 
 def test_corpus_covers_refusals_and_size():

@@ -16,17 +16,17 @@ from trirecom import (
 from trirecom.moves import (
     RecomStep,
     apply_recom,
-    lift_flip,
     neighborhood_flip_test,
     recom_valid,
     reverse,
     untouched_of_flip,
 )
-from trirecom.partition import BalanceClass, classify
+from trirecom.partition import BalanceClass, classify, in_window, is_valid
 
 from support import (
     balanced_targets,
     bfs_is_simply_connected,
+    lift_flip,
     random_omega_state,
     unclassified,
 )
@@ -186,6 +186,78 @@ def test_neighborhood_test_equals_flip_valid_on_n6_windows(targets):
     assert cases > 1_000_000
 
 
+def _check_carried_validity(p):
+    """(flips checked, valid flips); asserts that every flip of the valid
+    partition p carries the breadth-first reference's validity of all three
+    districts, and that classifying the flipped state with it equals
+    classifying it afresh."""
+    assert is_valid(p) and p._valid is True
+    region = p.region
+    sets = p.districts()
+    kept = [bfs_is_simply_connected(region, s) for s in sets]
+    cases = valid = 0
+    for v in region.vertices:
+        frm = p.district(v)
+        shrunk = bfs_is_simply_connected(region, sets[frm - 1] - {v})
+        for to in (1, 2, 3):
+            if to == frm:
+                continue
+            grown = bfs_is_simply_connected(region, sets[to - 1] | {v})
+            expected = shrunk and grown and kept[untouched_of_flip(frm, to) - 1]
+            q = apply_flip(p, v, to)
+            assert q._valid is expected, (p.labels, v, to)
+            assert classify(q) is classify(unclassified(q))
+            cases += 1
+            valid += expected
+    return cases, valid
+
+
+def test_apply_flip_carries_exact_validity_on_the_n5_window(omega5):
+    cases = valid = 0
+    for p in omega5:
+        c, k = _check_carried_validity(p)
+        cases += c
+        valid += k
+    assert cases == 99_180
+    assert 0 < valid < cases
+
+
+def _check_walk_states(n):
+    region = build_region(n)
+    targets = balanced_targets(n)
+    rng = random.Random(7100 + n)
+    cases = valid = 0
+    for k in range(20):
+        p = random_omega_state(region, targets, rng, attempts=(k + 1) * 20 * n)
+        c, v = _check_carried_validity(p)
+        cases += c
+        valid += v
+    assert cases == 20 * 2 * region.num_vertices
+    assert 0 < valid < cases
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_apply_flip_carries_exact_validity_on_walk_states(n):
+    _check_walk_states(n)
+
+
+@pytest.mark.slow
+def test_apply_flip_carries_exact_validity_on_n32_walk_states():
+    _check_walk_states(32)
+
+
+def test_apply_flip_leaves_validity_unknown_from_an_unchecked_state(pool5):
+    p = unclassified(pool5[0])
+    for v in p.region.vertices:
+        for to in (1, 2, 3):
+            assert apply_flip(p, v, to)._valid is None
+    assert p._valid is None
+    # a flip to the vertex's own district changes nothing
+    v = p.region.vertices[0]
+    assert is_valid(p)
+    assert apply_flip(p, v, p.district(v))._valid is True
+
+
 def test_lift_flip_records_untouched_district(pool5):
     for p in pool5[:10]:
         for v in p.region.vertices:
@@ -238,6 +310,25 @@ def test_apply_recom_validates_structure(pool5):
     q_labels = p.with_moves([(v, to)]).labels
     with pytest.raises(ValueError):
         apply_recom(p, RecomStep(1, q_labels, ""))
+
+
+def test_apply_recom_rejects_steps_that_break_a_district(pool5):
+    # in-window flips that break a district, applied as recombination steps
+    # from states known valid, which check only the two changed districts
+    rejected = 0
+    for p in pool5[:10]:
+        assert is_valid(p)
+        full = unclassified(p)
+        for v in p.region.vertices:
+            for to in (1, 2, 3):
+                if to == p.district(v) or flip_valid(full, v, to):
+                    continue
+                if not in_window(apply_flip(p, v, to)):
+                    continue
+                with pytest.raises(ValueError, match="leaves Omega"):
+                    apply_recom(p, lift_flip(p, v, to))
+                rejected += 1
+    assert rejected > 50
 
 
 def test_recom_steps_may_move_many_vertices(pool5):

@@ -6,13 +6,20 @@ import random
 
 import pytest
 
-from trirecom import Partition, flip_valid, ground_state, in_omega, build_region
+from trirecom import (
+    Partition,
+    apply_flip,
+    build_region,
+    flip_valid,
+    ground_state,
+    in_omega,
+)
 from trirecom.partition import (
     BalanceClass,
+    at_most_one_arc,
     case_dispatch,
     classify,
     connected_components,
-    d_neighborhood,
     districts_adjacent,
     exposed_vertices,
     ground_states,
@@ -166,6 +173,38 @@ def test_relabel_reflect_rotate_preserve_validity(pool5):
         assert in_omega(p.reflected()) and in_omega(p.rotated())
 
 
+def test_relabeled_and_permuted_carry_validity(region5, pool5):
+    # valid states (carried True), flips that break them (carried False) and
+    # copies nothing has checked (unknown, which stays unknown)
+    frames = [
+        region5.frame(reflect, turns)[0]
+        for reflect in (False, True)
+        for turns in (0, 1, 2)
+    ]
+    perms = [
+        dict(zip((1, 2, 3), perm)) for perm in itertools.permutations((1, 2, 3))
+    ]
+    seen = {True: 0, False: 0, None: 0}
+    for p in pool5[:10]:
+        assert is_valid(p)
+        broken = next(
+            q
+            for v in region5.vertices
+            for to in (1, 2, 3)
+            if to != p.district(v)
+            and (q := apply_flip(p, v, to))._valid is False
+        )
+        for q in (p, broken, unclassified(broken)):
+            derived = [q.relabeled(perm) for perm in perms]
+            derived += [q.permuted(source) for source in frames]
+            for r in derived:
+                assert r._valid is q._valid
+                if r._valid is not None:
+                    assert r._valid == is_valid(unclassified(r))
+                seen[r._valid] += 1
+    assert seen == {True: 120, False: 120, None: 120}
+
+
 def test_ground_states_are_blocks(region5):
     targets = (5, 5, 5)
     states = ground_states(region5, targets)
@@ -190,15 +229,11 @@ def test_ground_state_rejects_small_targets():
         ground_state(region, (5, 5, 5), (1, 1, 2))
 
 
-def test_d_neighborhood_members_and_blocks(pool5):
+def test_at_most_one_arc_counts_slot_runs(pool5):
     for p in pool5[:25]:
         region = p.region
         for v in region.vertices:
             for d in (1, 2, 3):
-                members, one_block = d_neighborhood(p, v, d)
-                assert set(members) == {
-                    u for u in region.neighbors(v) if p.district(u) == d
-                }
                 # count maximal runs of district-d slots around v, treating
                 # OUTSIDE slots as gaps
                 slots = region.neighbors_cyclic(v)
@@ -213,7 +248,7 @@ def test_d_neighborhood_members_and_blocks(pool5):
                         for i in range(6)
                         if flags[i] and not flags[i - 1]
                     )
-                assert one_block == (runs <= 1)
+                assert at_most_one_arc(p, v, d) == (runs <= 1)
 
 
 def test_cut_vertex_iff_district_disconnects(pool5):

@@ -20,7 +20,7 @@ from trirecom import (
     verify_trace,
 )
 from trirecom.moves import RecomStep, apply_recom, untouched_of_flip
-from trirecom.partition import BalanceClass, classify, ground_states
+from trirecom.partition import BalanceClass, classify, ground_states, in_window
 from trirecom.pathfinder import (
     MIN_SIDE,
     _Builder,
@@ -237,6 +237,27 @@ def test_verify_trace_ignores_a_class_cached_on_the_source(region5):
     bad = p.with_moves([((1, 1), 3), ((2, 1), 2)])
     assert not in_omega(Partition(region5, bad.targets, bad.labels))
     bad._class = BalanceClass.BALANCED  # forged
+    report = verify_trace(bad, Trace(bad.labels, []))
+    assert not report["ok"]
+    assert report["failed_at"] == -1
+    assert report["reason"] == "source outside the window"
+
+
+def test_verify_trace_ignores_validity_carried_on_the_source(pool5):
+    # an in-window state with a broken district, forged as known valid
+    p = pool5[0]
+    full = unclassified(p)
+    bad = next(
+        q
+        for v in p.region.vertices
+        for to in (1, 2, 3)
+        if to != p.district(v)
+        and not flip_valid(full, v, to)
+        and in_window(q := p.with_moves([(v, to)]))
+    )
+    bad._valid = True  # forged
+    assert classify(bad) is not BalanceClass.OUTSIDE_OMEGA
+    assert not in_omega(Partition(p.region, bad.targets, bad.labels))
     report = verify_trace(bad, Trace(bad.labels, []))
     assert not report["ok"]
     assert report["failed_at"] == -1
