@@ -7,8 +7,10 @@ connected.  flip_valid answers for any partition: on one known valid (its
 carried validity, see partition) it is the local test, and otherwise it
 recomputes the simple connectivity of both changed districts.
 
-Applying a step carries validity forward where it is proved.  apply_flip on
-a valid parent stores the local test's answer on the flipped state: the
+Applying a step carries validity forward where it is proved.  apply_flip
+derives the flipped state from its parent (one label, two mask updates, see
+partition.Partition._derived) and, on a valid parent, stores the local
+test's answer on it: the
 untouched district is unchanged and the local test decides the two changed
 ones exactly, so a failing flip stores False.  apply_recom on a valid parent
 flood-fills only the two districts the step changes, since it has just
@@ -91,13 +93,28 @@ def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
 
 
 def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:
-    """The partition with v moved to district `to`.  On a partition known
-    valid the result carries its exact validity: the local test's answer,
-    or p's own when the move changes nothing."""
-    q = p.with_moves([(v, to)])
+    """The partition with v moved to district `to`, derived from p by one
+    label and two mask updates.  On a partition known valid the result
+    carries its exact validity: the local test's answer, or p's own when
+    the move changes nothing."""
+    region = p.region
+    i = region.index_of[v]
+    labels = p.labels
+    frm = labels[i]
+    bit = region.bits[i]
+    masks = [0, *p.masks()]
+    masks[frm] ^= bit
+    masks[to] |= bit
+    valid = None
     if p._valid:
-        q._valid = p.district(v) == to or neighborhood_flip_test(p, v, to)
-    return q
+        valid = frm == to or neighborhood_flip_test(p, v, to)
+    return Partition._derived(
+        region,
+        p.targets,
+        labels[:i] + (to,) + labels[i + 1 :],
+        (masks[1], masks[2], masks[3]),
+        valid,
+    )
 
 
 def untouched_of_flip(frm: int, to: int) -> int:
@@ -137,6 +154,7 @@ def apply_recom(p: Partition, step: RecomStep) -> Partition:
     return q
 
 
-def reverse(step: RecomStep, before: Partition) -> RecomStep:
-    """The inverse step: applying it to the step's result returns `before`."""
-    return RecomStep(step.untouched, before.labels, step.note)
+def reverse(step: RecomStep, before: tuple[int, ...]) -> RecomStep:
+    """The inverse step: applying it to the step's result returns the state
+    whose labels are `before`."""
+    return RecomStep(step.untouched, before, step.note)

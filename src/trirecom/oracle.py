@@ -109,6 +109,7 @@ def enumerate_omega(
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SIDE}"
         )
+    targets = tuple(targets)
     k1, k2, k3 = targets
     total = region.num_vertices
     if k1 + k2 + k3 != total:
@@ -167,12 +168,11 @@ def _orbit_images(region: TriRegion, m1: int, frames) -> dict | None:
 def _partition(
     region: TriRegion, targets: Targets, masks: tuple[int, int, int]
 ) -> Partition:
-    # the partition of three district bitboards, built with its mask cache
+    # the window state of three district bitboards that enumeration has
+    # checked, built with its masks and its validity
     m1, m2, _ = masks
     labels = tuple(1 if b & m1 else 2 if b & m2 else 3 for b in region.bits)
-    p = Partition(region, targets, labels)
-    p._masks = masks
-    return p
+    return Partition._derived(region, targets, labels, masks, True)
 
 
 def enumerate_omega_bruteforce(

@@ -4,14 +4,25 @@ tricolor triangles, rebalance-case dispatch, and ground-state construction.
 
 Validity runs on bitboards: each Partition caches one int mask per district,
 with vertex (col, row) at bit col * (n + 2) + row, so a lattice step is a
-constant shift and simple connectivity is a shift-and-mask flood fill plus an
-Euler-characteristic count.  Partitions derived by with_moves or relabeled
-carry their parent's cached masks and district sets, updated by the moves or
-the permutation.  Neighborhood predicates (cut vertex, exposed vertex, arc
-connectivity) read a vertex's 6-bit slot pattern out of one district mask,
-tricolor faces come from shifted ANDs of the three masks, and district
-adjacency and the rebalance-case dispatch AND one mask with the neighbor
-shifts of another (lattice.TriRegion.neighbors_mask).
+constant shift and simple connectivity is a shift-and-mask flood fill plus
+an Euler-characteristic count.  One private loop (_label_masks) turns a
+label array into the three masks, for Partition.masks and for
+pathfinder.verify_trace, which checks traces on bare masks.
+
+States derived from an already constructed partition go through one private
+constructor, Partition._derived, which skips the label-length and target-sum
+checks the parent passed and takes the masks, validity and district sets the
+caller knows: relabeled (its translate table and target/mask/set picker are
+cached per permutation), permuted, with_moves, with_labels (which keeps its
+length check), oracle._partition, moves.apply_flip and the final state of
+pathfinder.verify_trace.  with_moves and relabeled carry the parent's cached
+masks and district sets, updated by the moves or the permutation, and
+apply_flip its masks, updated by the flipped bit.  Neighborhood predicates
+(cut vertex, exposed vertex, arc connectivity) read a vertex's 6-bit slot
+pattern out of one district mask, tricolor faces come from shifted ANDs of
+the three masks, and district adjacency and the rebalance-case dispatch AND
+one mask with the neighbor shifts of another
+(lattice.TriRegion.neighbors_mask).
 
 A Partition is immutable, so two answers are cached on it.  Its validity
 (_valid: all three districts nonempty and simply connected, None while
@@ -19,20 +30,23 @@ unknown) is written by is_valid, which flood-fills the three masks, and by a
 derivation only where the answer is proved: relabeled and permuted keep it
 (a relabeling or lattice symmetry keeps every district's shape),
 moves.apply_flip sets it from the local flip test on a valid parent, where
-that test is exact, and moves.apply_recom from flood fills of the two
-districts a step changes on a valid parent.  The constructor, with_moves and
-with_labels leave it unknown.  classify caches the balance class, is its
-only writer, reads validity through is_valid and so adds only the size
-window on a partition that carries it; derived partitions start
-unclassified.  moves.flip_valid answers by the local flip test on any
-partition known valid.
+that test is exact, moves.apply_recom from flood fills of the two districts
+a step changes on a valid parent, and enumeration (oracle._partition) and
+verify_trace's final state set it to True, every district having passed the
+flood fill.  The constructor, with_moves and with_labels leave it unknown.
+classify caches the balance class, is its only writer, reads validity
+through is_valid and so adds only the size window on a partition that
+carries it; derived partitions start unclassified.  moves.flip_valid answers
+by the local flip test on any partition known valid.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .lattice import ONE_ARC, TriRegion, Vertex
@@ -130,6 +144,28 @@ def _simply_connected_mask(m: int, w: int) -> bool:
     return m.bit_count() - edges + faces == 1
 
 
+def _label_masks(bits: tuple[int, ...], labels) -> tuple[int, int, int]:
+    """The three district bitboards of a label array, given the region's
+    vertex bits (lattice.TriRegion.bits).  Partition.masks and
+    pathfinder.verify_trace share this loop."""
+    masks = [0, 0, 0, 0]
+    for bit, lab in zip(bits, labels):
+        masks[lab] |= bit
+    return masks[1], masks[2], masks[3]
+
+
+#: For each relabeling, as (perm[1], perm[2], perm[3]): the translate table
+#: of its labels and the picker that moves targets, masks and district sets
+#: to their new districts (district perm[d] takes what district d held).
+_RELABELINGS: dict[tuple[int, int, int], tuple] = {
+    image: (
+        bytes.maketrans(b"\1\2\3", bytes(image)),
+        itemgetter(*(image.index(d) for d in DISTRICTS)),
+    )
+    for image in itertools.permutations(DISTRICTS)
+}
+
+
 def is_simply_connected(region: TriRegion, vset: Iterable[Vertex]) -> bool:
     """True iff vset is nonempty, connected, and encloses no complement
     vertex (every complement component reaches the region boundary)."""
@@ -162,6 +198,31 @@ class Partition:
         # written only by classify
         self._class: Optional[BalanceClass] = None
 
+    @classmethod
+    def _derived(
+        cls,
+        region: TriRegion,
+        targets: Targets,
+        labels: tuple[int, ...],
+        masks: Optional[tuple[int, int, int]] = None,
+        valid: Optional[bool] = None,
+        districts: Optional[tuple[frozenset, ...]] = None,
+    ) -> "Partition":
+        """A state derived from an already constructed partition: the label
+        length and the target sum were checked on the parent, so they are
+        not checked again, and the caller passes the masks, validity and
+        district sets it already knows (see the module doc)."""
+        q = cls.__new__(cls)
+        q.region = region
+        q.targets = targets
+        q.labels = labels
+        q._districts = districts
+        q._masks = masks
+        q._hash = None
+        q._valid = valid
+        q._class = None
+        return q
+
     def district(self, v: Vertex) -> int:
         return self.labels[self.region.index_of[v]]
 
@@ -180,10 +241,7 @@ class Partition:
     def masks(self) -> tuple[int, int, int]:
         """(P1, P2, P3) as bitboards (see lattice.TriRegion.bit_of)."""
         if self._masks is None:
-            masks = [0, 0, 0, 0]
-            for bit, lab in zip(self.region.bits, self.labels):
-                masks[lab] |= bit
-            self._masks = (masks[1], masks[2], masks[3])
+            self._masks = _label_masks(self.region.bits, self.labels)
         return self._masks
 
     def sizes(self) -> tuple[int, int, int]:
@@ -208,41 +266,48 @@ class Partition:
                 sets[labels[i]] = sets[labels[i]] - {v}
                 sets[d] = sets[d] | {v}
             labels[i] = d
-        q = Partition(region, self.targets, tuple(labels))
-        if masks is not None:
-            q._masks = (masks[1], masks[2], masks[3])
-        if sets is not None:
-            q._districts = (sets[1], sets[2], sets[3])
-        return q
+        return Partition._derived(
+            region,
+            self.targets,
+            tuple(labels),
+            None if masks is None else (masks[1], masks[2], masks[3]),
+            None,
+            None if sets is None else (sets[1], sets[2], sets[3]),
+        )
 
     def with_labels(self, labels: tuple[int, ...]) -> "Partition":
-        return Partition(self.region, self.targets, labels)
+        """New partition with the given labels (length checked), same
+        region and targets."""
+        if len(labels) != self.region.num_vertices:
+            raise ValueError("label array length mismatch")
+        return Partition._derived(self.region, self.targets, tuple(labels))
 
     def relabeled(self, perm: dict[int, int]) -> "Partition":
         """Apply a district relabeling: old label d becomes perm[d].  Targets,
         cached masks and cached district sets move with their districts, and
         known validity is kept."""
-        inv = {new: old for old, new in perm.items()}
-        table = bytes.maketrans(b"\1\2\3", bytes((perm[1], perm[2], perm[3])))
-        labels = tuple(bytes(self.labels).translate(table))
-        targets = tuple(self.targets[inv[d] - 1] for d in DISTRICTS)
-        q = Partition(self.region, targets, labels)
-        q._valid = self._valid
-        if self._masks is not None:
-            q._masks = tuple(self._masks[inv[d] - 1] for d in DISTRICTS)
-        if self._districts is not None:
-            q._districts = tuple(self._districts[inv[d] - 1] for d in DISTRICTS)
-        return q
+        table, pick = _RELABELINGS[perm[1], perm[2], perm[3]]
+        return Partition._derived(
+            self.region,
+            pick(self.targets),
+            tuple(bytes(self.labels).translate(table)),
+            None if self._masks is None else pick(self._masks),
+            self._valid,
+            None if self._districts is None else pick(self._districts),
+        )
 
     def permuted(self, source: tuple[int, ...]) -> "Partition":
         """The image under a vertex permutation given by its source index
         array: vertex j of the image takes the label of vertex source[j]
         (see lattice.TriRegion.frame).  A lattice symmetry keeps validity,
         so a known answer is kept."""
-        labels = tuple(map(self.labels.__getitem__, source))
-        q = Partition(self.region, self.targets, labels)
-        q._valid = self._valid
-        return q
+        return Partition._derived(
+            self.region,
+            self.targets,
+            tuple(map(self.labels.__getitem__, source)),
+            None,
+            self._valid,
+        )
 
     def reflected(self) -> "Partition":
         """The mirror image under the column-fixing reflection."""
@@ -443,8 +508,6 @@ def ground_state(region: TriRegion, targets: Targets, perm: tuple[int, int, int]
 
 
 def ground_states(region: TriRegion, targets: Targets) -> dict[tuple[int, int, int], Partition]:
-    import itertools
-
     return {
         perm: ground_state(region, targets, perm)
         for perm in itertools.permutations((1, 2, 3))

@@ -16,12 +16,22 @@ which flood-fills the two districts a step changes.  Frames keep the answer,
 since relabeled and permuted carry it.  Candidate scans and flip guards on
 the builder's state use the local test too, and so does moves.flip_valid on
 the flip trial of a speculative state in _interior_valid and inside
-toolkit's towers and unwinding: each of those states comes from the
+toolkit's tower construction: each of those states comes from the
 builder's by apply_flip and so is known valid or known invalid, and
-flip_valid recomputes both districts on any state not known valid.
-verify_trace re-checks every returned route from labels alone, rebuilding
-and classifying each state itself, so it never reads a validity or class
-carried by its caller's partitions.  The engine never searches the state
+flip_valid recomputes both districts on any state not known valid.  Frames,
+flips and steps derive their partitions through partition's private
+constructor for derived states, which skips the checks the parent passed;
+path reverses its second half from label tuples alone.
+
+verify_trace re-checks every returned route from labels alone, on bare
+bitboards: each state becomes three district masks, its size window is read
+from their popcounts and its simple connectivity from the flood-fill kernel,
+memoized by mask for the length of one call.  The kernel is a pure function
+of the mask, so a memo hit is exactly the flood fill's answer; a step's
+untouched district is the previous state's mask and always hits.  It never
+reads a validity or class carried by its caller's partitions, and builds a
+Partition only for its report's final state.  The engine never searches the
+state
 space: when a structural expectation of a branch fails, a PathError naming
 the branch is raised instead.  Sub-cases that no sampled state reached were
 deleted; their call sites raise such a PathError naming the deleted sub-case
@@ -38,6 +48,7 @@ arrays, the vertex map and the frozen mask into the frame.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -56,6 +67,8 @@ from .partition import (
     BalanceClass,
     Partition,
     Targets,
+    _label_masks,
+    _simply_connected_mask,
     at_most_one_arc,
     case_dispatch,
     classify,
@@ -86,6 +99,14 @@ MIN_SIDE = 5
 
 #: Role map exchanging districts 2 and 3.
 _SWAP_23 = {1: 1, 2: 3, 3: 2}
+
+
+#: The translate table taking a builder's local labels to root labels, per
+#: dmap; None for the identity.
+_DMAP_TABLES: dict[tuple[int, ...], bytes | None] = {
+    (0, *perm): None if perm == (1, 2, 3) else bytes.maketrans(b"\1\2\3", bytes(perm))
+    for perm in itertools.permutations((1, 2, 3))
+}
 
 
 class PathError(Exception):
@@ -141,10 +162,7 @@ class _Builder:
         self.dmap = dmap
         # local labels -> root labels: gather through vmap, translate by dmap
         self._gather = None if vmap is None else itemgetter(*vmap)
-        self._translate = (
-            None if dmap == (0, 1, 2, 3)
-            else bytes.maketrans(b"\1\2\3", bytes(dmap[1:]))
-        )
+        self._translate = _DMAP_TABLES[dmap]
 
     def _record(self, q: Partition, untouched: int, note: str) -> None:
         labels = q.labels
@@ -1701,27 +1719,26 @@ def _sweep_std(b: _Builder) -> int:
 
 def _finish_std(b: _Builder) -> None:
     """Role space, post-sweep: drive to the block state with districts in
-    ascending order along the vertex ordering."""
+    ascending order along the vertex ordering.  District 1 is read as a
+    bitboard; bit order is the vertex ordering, so the first k1 vertices
+    are the k1 lowest bits."""
     p = b.p
     region = p.region
     n = region.n
     k1, k2, k3 = p.targets
     i = _first_open_column(p)
-    if not (
-        region.columns_leq(i - 1) <= p.district_set(1) <= region.columns_leq(i)
-    ):
+    m1 = p.masks()[0]
+    if region.cols_leq_mask(i - 1) & ~m1 or m1 & ~region.cols_leq_mask(i):
         raise PathError("block-finish", "district 1 not nestled at a column")
     if i > n - 2:
         raise PathError("block-finish", f"column index {i} exceeds {n - 2}")
-    vertices = region.vertices
-    first = frozenset(vertices[:k1])
-    tail = frozenset(vertices[k1 + k2 :])
+    bits = region.bits
+    first = region.full_mask & ((bits[k1 - 1] << 1) - 1)
     sigma = tuple([1] * k1 + [2] * k2 + [3] * k3)
-    free = (region.column(i) - p.district_set(1)) | region.column(i + 1)
-    if len(free) <= k2:
-        s1 = b.p.district_set(1)
+    if _free_mask(region, m1, i).bit_count() <= k2:
+        tail = region.full_mask & -(bits[k1 + k2 - 1] << 1)
         labels = tuple(
-            1 if v in s1 else (3 if v in tail else 2) for v in vertices
+            1 if bit & m1 else (3 if bit & tail else 2) for bit in bits
         )
         if labels != b.p.labels:
             b.extend([RecomStep(1, labels, "block-shuffle")])
@@ -1729,13 +1746,19 @@ def _finish_std(b: _Builder) -> None:
             b.extend([RecomStep(3, sigma, "block-finish")])
         return
     rounds = 0
-    while b.p.district_set(1) != first:
+    while b.p.masks()[0] != first:
         rounds += 1
         if rounds > n:
             raise PathError("block-finish", "no progress in column rounds")
         _ground_round(b, i)
     if b.p.labels != sigma:
         b.extend([RecomStep(1, sigma, "block-finish")])
+
+
+def _free_mask(region: TriRegion, m1: int, i: int) -> int:
+    """Column i outside district 1, plus column i + 1, as a bitboard."""
+    cols = region.cols_leq_mask
+    return (cols(i) & ~cols(i - 1) & ~m1) | (cols(i + 1) & ~cols(i))
 
 
 def _ground_round(b: _Builder, i: int) -> None:
@@ -1745,36 +1768,30 @@ def _ground_round(b: _Builder, i: int) -> None:
     p = b.p
     region = p.region
     k2 = p.targets[1]
-    s1 = p.district_set(1)
-    col = region.vertices[i * (i - 1) // 2 : i * (i + 1) // 2]
-    v = next(u for u in col if u not in s1)
-    run = []
-    for u in col[col.index(v) :]:
-        if u in s1:
-            break
-        run.append(u)
-    below = col.index(v) + len(run)
-    if below >= len(col) or col[below] not in s1:
+    m1 = p.masks()[0]
+    lo, hi = i * (i - 1) // 2, i * (i + 1) // 2
+    col, col_bits = region.vertices[lo:hi], region.bits[lo:hi]
+    top = next(j for j, bit in enumerate(col_bits) if not bit & m1)
+    below = top
+    while below < len(col) and not col_bits[below] & m1:
+        below += 1
+    if below >= len(col):
         raise PathError("block-shuffle", "no district-1 vertex below the gap")
-    w = col[below]
+    v, w = col[top], col[below]
     u0 = (i + 1, v[1] + 1)
-    new2 = list(run) + [u0]
+    new2 = list(col[top:below]) + [u0]
     if len(new2) > k2:
         raise PathError("block-shuffle", "seed exceeds district-2 target")
     pool = sorted(
-        (
-            x
-            for x in (set(region.column(i)) - s1) | set(region.column(i + 1))
-            if x not in new2
-        ),
+        region.vertices_of(_free_mask(region, m1, i) & ~region.mask_of(new2)),
         key=lambda x: (_hex_distance(x, u0), x[0], ordering_index(x)),
     )
     new2 += pool[: k2 - len(new2)]
     if len(new2) != k2:
         raise PathError("block-shuffle", "cannot fill district 2 locally")
-    new2_set = frozenset(new2)
+    new2_mask = region.mask_of(new2)
     labels = tuple(
-        1 if x in s1 else (2 if x in new2_set else 3) for x in region.vertices
+        1 if bit & m1 else (2 if bit & new2_mask else 3) for bit in region.bits
     )
     if labels != p.labels:
         b.extend([RecomStep(1, labels, "block-shuffle")])
@@ -2271,7 +2288,7 @@ def path(sigma: Partition, tau: Partition, compress: bool = True) -> Trace:
     # step's `before` is the previous step's `after`; verify_trace below
     # re-checks the whole returned route and is the only check of the
     # bridge.
-    befores = [tau] + [tau.with_labels(step.after) for step in back[:-1]]
+    befores = [tau.labels] + [step.after for step in back[:-1]]
     reversed_back = [
         reverse(step, before) for step, before in zip(back, befores)
     ][::-1]
@@ -2298,8 +2315,11 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
                 j += 1
             after = cur_steps[j].after
             if after != cur:
+                # a run of one step is kept as it is
                 out.append(
-                    RecomStep(cur_steps[idx].untouched, after, cur_steps[idx].note)
+                    cur_steps[idx] if j == idx else RecomStep(
+                        cur_steps[idx].untouched, after, cur_steps[idx].note
+                    )
                 )
                 cur = after
             idx = j + 1
@@ -2310,37 +2330,67 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
 
 def verify_trace(source: Partition, trace: Trace) -> dict:
     """Independently re-validate the source and every step of the trace.
-    Every state is rebuilt from labels and classified here, so no validity
-    or class carried by the caller's partitions is consulted."""
+
+    Every state is recomputed here from its labels alone, as three bare
+    bitboards (the loop Partition.masks uses): the size window is read from
+    their popcounts and simple connectivity from the flood-fill kernel, so
+    no validity or class carried by the caller's partitions is consulted.
+    The kernel's answers are memoized by mask for this call only; the
+    kernel is a pure function of the mask (and the region's column width),
+    so a memo hit is exactly the answer a flood fill would give.  A step's
+    untouched district is the previous state's mask and always hits.  Only
+    the report's `final` is built as a Partition.  A label array of the
+    wrong length raises ValueError."""
     if trace.source != source.labels:
         return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
-    cur = Partition(source.region, source.targets, trace.source)
-    if not in_omega(cur):
+    region, targets = source.region, source.targets
+    bits, w, num_vertices = region.bits, region.width, region.num_vertices
+    memo: dict[int, bool] = {}
+
+    def in_omega_masks(masks) -> bool:
+        for m, k in zip(masks, targets):
+            if not -1 <= m.bit_count() - k <= 1:
+                return False
+        for m in masks:
+            ok = memo.get(m)
+            if ok is None:
+                ok = memo[m] = _simply_connected_mask(m, w)
+            if not ok:
+                return False
+        return True
+
+    labels = source.labels
+    cur = _label_masks(bits, labels)
+    if not in_omega_masks(cur):
         return {"ok": False, "failed_at": -1, "reason": "source outside the window"}
     for idx, step in enumerate(trace.steps):
-        # each state is classified once, as q; cur was the previous q
-        q = Partition(source.region, source.targets, step.after)
+        after = step.after
+        if len(after) != num_vertices:
+            raise ValueError("label array length mismatch")
+        after = tuple(after)
+        masks = _label_masks(bits, after)
         if (
-            q.labels == cur.labels
-            or not in_omega(q)
-            or not any(a == b for a, b in zip(cur.masks(), q.masks()))
+            after == labels
+            or not in_omega_masks(masks)
+            or not (masks[0] == cur[0] or masks[1] == cur[1] or masks[2] == cur[2])
         ):
             return {
                 "ok": False,
                 "failed_at": idx,
                 "reason": "not a valid recombination step",
             }
-        if q.masks()[step.untouched - 1] != cur.masks()[step.untouched - 1]:
+        if masks[step.untouched - 1] != cur[step.untouched - 1]:
             return {
                 "ok": False,
                 "failed_at": idx,
                 "reason": "declared untouched district changed",
             }
-        cur = q
+        labels, cur = after, masks
     trace.verified = True
     return {
         "ok": True,
         "steps": len(trace.steps),
-        "final": cur,
+        "final": Partition._derived(region, targets, labels, cur, True),
         "failed_at": None,
     }
+

@@ -8,12 +8,12 @@ find_shrink_vertex scans a candidate bitboard with the local neighborhood
 flip test (shrink_flips, which the route builder's removable-vertex scan
 shares) and so needs a partition whose districts are simply connected: the
 route builder's state, or an unwinding state reached from one by such
-checked flips.  Towers and the paired flip of an unwinding round re-check
-their flips with flip_valid and apply each flip once (moves.apply_flip).
-From a state known valid, apply_flip carries the local test's exact answer
-to the flipped state, so every checked intermediate state is known valid and
-flip_valid on it is the local test; from a start state whose validity is
-unknown, flip_valid recomputes both changed districts.
+checked flips.  Tower resolution and the paired flip of an unwinding round
+check each flip by applying it once (_checked_flip): from a state known
+valid, moves.apply_flip carries the local test's exact answer to the
+flipped state, and that answer is the check, so every checked intermediate
+state is known valid; only on a start state whose validity is unknown does
+flip_valid recompute both changed districts first.
 """
 
 from __future__ import annotations
@@ -257,12 +257,26 @@ def cycle_recombine(
 # -- towers -------------------------------------------------------------------
 
 
+def _checked_flip(p: Partition, v: Vertex, to: int) -> Partition | None:
+    """The flipped partition when the flip is valid, else None.  On a
+    partition known valid the flip is applied once and its carried validity
+    (the local test, see moves.apply_flip) is the check; on any other
+    partition flip_valid recomputes both changed districts first."""
+    if p._valid and p.district(v) != to:
+        q = apply_flip(p, v, to)
+        return q if q._valid else None
+    return apply_flip(p, v, to) if flip_valid(p, v, to) else None
+
+
 def _flip(
-    p: Partition, v: Vertex, to: int, note: str, steps: list[RecomStep]
+    p: Partition, v: Vertex, to: int, note: str, steps: list[RecomStep],
+    q: Partition | None = None,
 ) -> Partition:
-    """Apply the flip once and append it to `steps` as a recombination
-    step."""
-    q = apply_flip(p, v, to)
+    """Append the flip of v into district `to` to `steps` as a
+    recombination step and return the flipped partition: q when the caller
+    has applied the flip already, else apply_flip's."""
+    if q is None:
+        q = apply_flip(p, v, to)
     steps.append(RecomStep(untouched_of_flip(p.district(v), to), q.labels, note))
     return q
 
@@ -308,9 +322,10 @@ def execute_tower(
     for i in range(len(chain) - 1, 0, -1):
         v = chain[i]
         target = cur.district(chain[i - 1])
-        if not flip_valid(cur, v, target):
+        q = _checked_flip(cur, v, target)
+        if q is None:
             raise StructuralError(f"tower flip {v} -> {target} invalid")
-        cur = _flip(cur, v, target, note, steps)
+        cur = _flip(cur, v, target, note, steps, q)
     return cur, steps
 
 
@@ -359,9 +374,10 @@ def unwind(
         v2, to2 = find_shrink_vertex(cur, s2 - {protected}, (d3, d1))
         cur = _flip(cur, v1, d2, note, steps)
         s1.discard(v1)
-        if not flip_valid(cur, v2, to2):
+        q = _checked_flip(cur, v2, to2)
+        if q is None:
             raise StructuralError("arm flip invalidated by the paired flip")
-        cur = _flip(cur, v2, to2, note, steps)
+        cur = _flip(cur, v2, to2, note, steps, q)
         if to2 == d3:
             return cur, steps, "balanced"
         s2.discard(v2)

@@ -1,8 +1,9 @@
 """Shared test helpers: random state samplers, boundary-run utilities, and the
 reference definitions of simple connectivity (breadth-first search), of
-tricolor triangles (a scan over every face), and of the route builder's
+tricolor triangles (a scan over every face), of the route builder's
 vertex-set scans that now run on bitboards (removable vertices, rebalance
-case dispatch, district adjacency, first open column)."""
+case dispatch, district adjacency, first open column), and of trace
+verification (one classified Partition per state)."""
 
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ from trirecom import (
     Partition,
     apply_flip,
     build_region,
-    flip_valid,
     ground_state,
     in_omega,
 )
 from trirecom.lattice import ordering_index
 from trirecom.moves import RecomStep, neighborhood_flip_test, untouched_of_flip
+from trirecom.toolkit import _checked_flip
 from trirecom.partition import (
     BalanceClass,
     TricolorTriangle,
@@ -126,6 +127,44 @@ def unclassified(p: Partition) -> Partition:
     return Partition(p.region, p.targets, p.labels)
 
 
+def verify_trace_reference(source: Partition, trace) -> dict:
+    """Reference for pathfinder.verify_trace: every state is rebuilt as a
+    Partition from its labels and classified, so no validity or class
+    carried by the caller's partitions is consulted."""
+    if trace.source != source.labels:
+        return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
+    cur = Partition(source.region, source.targets, trace.source)
+    if not in_omega(cur):
+        return {"ok": False, "failed_at": -1, "reason": "source outside the window"}
+    for idx, step in enumerate(trace.steps):
+        # each state is classified once, as q; cur was the previous q
+        q = Partition(source.region, source.targets, step.after)
+        if (
+            q.labels == cur.labels
+            or not in_omega(q)
+            or not any(a == b for a, b in zip(cur.masks(), q.masks()))
+        ):
+            return {
+                "ok": False,
+                "failed_at": idx,
+                "reason": "not a valid recombination step",
+            }
+        if q.masks()[step.untouched - 1] != cur.masks()[step.untouched - 1]:
+            return {
+                "ok": False,
+                "failed_at": idx,
+                "reason": "declared untouched district changed",
+            }
+        cur = q
+    trace.verified = True
+    return {
+        "ok": True,
+        "steps": len(trace.steps),
+        "final": cur,
+        "failed_at": None,
+    }
+
+
 def lift_flip(p: Partition, v, to: int, note: str = "") -> RecomStep:
     """The flip expressed as a recombination step from p."""
     q = apply_flip(p, v, to)
@@ -149,17 +188,17 @@ def random_omega_state(region, targets, rng: random.Random, attempts: int = 300)
 
 def flip_walk(p: Partition, rng: random.Random, attempts: int):
     """`attempts` random single-vertex flip proposals from p, taking each
-    valid flip that stays inside the window."""
+    valid flip that stays inside the window.  A flip is applied once and
+    checked by the validity it carries (toolkit._checked_flip)."""
     verts = p.region.vertices
     for _ in range(attempts):
         v = verts[rng.randrange(len(verts))]
         to = rng.randrange(1, 4)
         if to == p.district(v):
             continue
-        if flip_valid(p, v, to):
-            q = apply_flip(p, v, to)
-            if in_omega(q):
-                p = q
+        q = _checked_flip(p, v, to)
+        if q is not None and in_omega(q):
+            p = q
     return p
 
 

@@ -235,7 +235,7 @@ def test_criterion_5d_reversibility_and_containment(omega5):
         assert recom_valid(p, q) and recom_valid(q, p)
         step = lift_flip(p, v, to)
         assert apply_recom(p, step) == q
-        assert apply_recom(q, reverse(step, p)) == p
+        assert apply_recom(q, reverse(step, p.labels)) == p
     print(
         f"CRITERION 5d: PASS - {cases} window-preserving flips out of "
         f"{trials} trials, 0 failures"

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from trirecom import Partition, PathError, build_region, path
-from trirecom.moves import apply_recom
-from trirecom.partition import is_valid
+from trirecom import Partition, PathError, Trace, build_region, path, verify_trace
+from trirecom.moves import RecomStep, apply_recom
+from trirecom.partition import in_omega, is_valid
 
-from support import random_omega_state
+from support import random_omega_state, verify_trace_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
@@ -128,6 +128,130 @@ def test_apply_recom_carries_validity_along_golden_routes():
                     steps += 1
                 assert cur.labels == tau.labels
     assert routes == 20 and steps > 200
+
+
+@pytest.fixture(scope="module")
+def corpus_routes():
+    """(sigma, trace) for every routed pair of the corpus."""
+    routes = []
+    for n, targets, attempts, count in GROUPS:
+        region = build_region(n)
+        for i in range(count):
+            rng = random.Random(1000 * n + 17 * attempts + i)
+            sigma = random_omega_state(region, targets, rng, attempts)
+            tau = random_omega_state(region, targets, rng, attempts)
+            try:
+                routes.append((sigma, path(sigma, tau)))
+            except PathError:
+                pass
+    return routes
+
+
+def _decision(verify, source, source_labels, steps):
+    """What `verify` decides on a fresh trace: (ok, failed_at, reason,
+    final labels), or the type of the exception it raises."""
+    try:
+        report = verify(source, Trace(source_labels, list(steps)))
+    except Exception as exc:  # noqa: BLE001 - the exception is the decision
+        return type(exc)
+    final = report.get("final")
+    return (
+        report["ok"],
+        report["failed_at"],
+        report.get("reason"),
+        None if final is None else final.labels,
+    )
+
+
+def _mutations(sigma, steps, rng):
+    """Seeded corruptions of a route, one per kind: (kind, source, source
+    labels, steps)."""
+    region, targets = sigma.region, sigma.targets
+    steps = list(steps)
+    k = rng.randrange(len(steps))
+    step = steps[k]
+    nv = region.num_vertices
+
+    def replaced(new_step):
+        return steps[:k] + [new_step] + steps[k + 1 :]
+
+    # one label changed in one step
+    after = list(step.after)
+    i = rng.randrange(nv)
+    after[i] = rng.choice([d for d in (1, 2, 3) if d != after[i]])
+    out = [("label", replaced(RecomStep(step.untouched, tuple(after))))]
+    # a wrong declared untouched district
+    wrong = rng.choice([d for d in (1, 2, 3) if d != step.untouched])
+    out.append(("untouched", replaced(RecomStep(wrong, step.after))))
+    # a dropped step and a repeated step
+    out.append(("dropped", steps[:k] + steps[k + 1 :]))
+    out.append(("repeated", steps[: k + 1] + [step] + steps[k + 1 :]))
+    # a label outside 1..3 in one step
+    after = list(step.after)
+    after[rng.randrange(nv)] = rng.choice((0, 4, -1))
+    out.append(("outside", replaced(RecomStep(step.untouched, tuple(after)))))
+    mutated = [(kind, sigma, sigma.labels, s) for kind, s in out]
+    # a source outside the window: vertices of sigma moved one at a time
+    # until the sizes leave the window or a district breaks
+    labels = list(sigma.labels)
+    while True:
+        i = rng.randrange(nv)
+        labels[i] = rng.choice([d for d in (1, 2, 3) if d != labels[i]])
+        source = Partition(region, targets, tuple(labels))
+        if not in_omega(source):
+            break
+    mutated.append(("source", source, source.labels, steps))
+    return mutated
+
+
+def test_verify_trace_decides_corpus_routes_as_the_reference(corpus_routes):
+    assert len(corpus_routes) >= 180
+    for sigma, trace in corpus_routes:
+        decision = _decision(verify_trace, sigma, trace.source, trace.steps)
+        assert decision[:3] == (True, None, None)
+        assert decision == _decision(
+            verify_trace_reference, sigma, trace.source, trace.steps
+        )
+
+
+def test_verify_trace_decides_mutated_routes_as_the_reference(corpus_routes):
+    rng = random.Random(13)
+    kinds: dict[str, set] = {}
+    checked = 0
+    for sigma, trace in corpus_routes:
+        if not trace.steps:
+            continue
+        for _ in range(2):
+            for kind, source, labels, steps in _mutations(sigma, trace.steps, rng):
+                decision = _decision(verify_trace, source, labels, steps)
+                assert decision == _decision(
+                    verify_trace_reference, source, labels, steps
+                ), (kind, sigma.labels)
+                kinds.setdefault(kind, set()).add(
+                    decision if isinstance(decision, type) else decision[:3]
+                )
+                checked += 1
+    assert checked >= 2000
+    assert set(kinds) == {
+        "label", "untouched", "dropped", "repeated", "outside", "source",
+    }
+    # every kind is refused somewhere, and the labels outside 1..3 raise
+    # (label 4) or are refused (0 and -1 read as other districts)
+    for kind, decisions in kinds.items():
+        assert any(d != (True, None, None) for d in decisions), kind
+    assert kinds["source"] == {(False, -1, "source outside the window")}
+    assert IndexError in kinds["outside"]
+
+
+def test_verify_trace_and_the_reference_raise_on_a_wrong_label_length(
+    corpus_routes,
+):
+    sigma, trace = corpus_routes[0]
+    for cut in (trace.steps[0].after[:-1], trace.steps[0].after + (1,)):
+        steps = [RecomStep(trace.steps[0].untouched, cut), *trace.steps[1:]]
+        for verify in (verify_trace, verify_trace_reference):
+            with pytest.raises(ValueError, match="label array length"):
+                verify(sigma, Trace(sigma.labels, steps))
 
 
 def test_corpus_covers_refusals_and_size():

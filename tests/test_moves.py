@@ -284,7 +284,7 @@ def test_flip_steps_are_recombination_moves(pool5):
                 assert recom_valid(p, q) and recom_valid(q, p)
                 step = lift_flip(p, v, to)
                 assert apply_recom(p, step) == q
-                back = reverse(step, p)
+                back = reverse(step, p.labels)
                 assert apply_recom(q, back) == p
                 assert back.untouched == step.untouched
     assert checked > 100

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from trirecom import build_region, build_state_graph, enumerate_omega, in_omega
+from trirecom import Partition, build_region, build_state_graph, enumerate_omega, in_omega
 from trirecom.moves import recom_valid
 from trirecom.oracle import (
     MAX_ENUMERATION_SIDE,
@@ -17,7 +17,7 @@ from trirecom.oracle import (
     simply_connected_subsets,
     unlabeled_form,
 )
-from trirecom.partition import is_simply_connected
+from trirecom.partition import is_simply_connected, is_valid
 
 
 def test_simply_connected_subsets_counts_and_uniqueness():
@@ -101,7 +101,10 @@ def _check_frozen(key, frozen):
     assert len(set(labels)) == len(labels)
     assert (len(states), _labels_digest(states)) == frozen[key]
     for p in states[:: max(1, len(states) // 50)]:
-        assert p.masks() == p.with_labels(p.labels).masks()
+        fresh = Partition(p.region, targets, p.labels)
+        assert p.masks() == fresh.masks() and p.targets == fresh.targets
+        # enumeration carries the validity it checked
+        assert p._valid is True and is_valid(fresh)
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_WINDOWS))

@@ -205,6 +205,73 @@ def test_relabeled_and_permuted_carry_validity(region5, pool5):
     assert seen == {True: 120, False: 120, None: 120}
 
 
+def _assert_equals_a_fresh_partition(r):
+    # everything a derived partition carries equals what the constructor
+    # computes from its labels
+    fresh = Partition(r.region, r.targets, r.labels)
+    assert type(r.labels) is tuple and type(r.targets) is tuple
+    assert r.labels == fresh.labels and r.targets == fresh.targets
+    assert r.masks() == fresh.masks()
+    assert r.sizes() == fresh.sizes()
+    assert r.districts() == fresh.districts()
+    assert r == fresh and hash(r) == hash(fresh)
+    assert r._valid is None or r._valid == is_valid(fresh)
+    assert r._class is None
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+def test_derived_partitions_equal_fresh_ones(n):
+    # valid, invalid and unknown-validity parents, each with nothing cached
+    # and with masks and district sets cached, through every derivation
+    region = build_region(n)
+    targets = balanced_targets(n)
+    rng = random.Random(40 + n)
+    perms = [
+        dict(zip((1, 2, 3), perm)) for perm in itertools.permutations((1, 2, 3))
+    ]
+    frames = [
+        region.frame(reflect, turns)[0]
+        for reflect in (False, True)
+        for turns in (0, 1, 2)
+    ]
+    verts = region.vertices
+    carried = {True: 0, False: 0, None: 0}
+    for _ in range(3):
+        p = random_omega_state(region, targets, rng)
+        assert p._valid is True
+        broken = next(
+            q
+            for v in verts
+            for to in (1, 2, 3)
+            if to != p.district(v)
+            and (q := apply_flip(p, v, to))._valid is False
+        )
+        other = random_omega_state(region, targets, rng).labels
+        for parent in (p, broken, unclassified(broken)):
+            for warm in (False, True):
+                q = Partition(region, parent.targets, parent.labels)
+                q._valid = parent._valid
+                if warm:
+                    q.masks()
+                    q.districts()
+                derived = [q.relabeled(perm) for perm in perms]
+                derived += [q.permuted(source) for source in frames]
+                for _ in range(3):
+                    moves = [
+                        (verts[rng.randrange(len(verts))], rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 4))
+                    ]
+                    derived.append(q.with_moves(moves))
+                    v, to = moves[0]
+                    derived.append(apply_flip(q, v, to))
+                derived.append(apply_flip(q, v, q.district(v)))
+                derived.append(q.with_labels(other))
+                for r in derived:
+                    _assert_equals_a_fresh_partition(r)
+                    carried[r._valid] += 1
+    assert all(carried.values()), carried
+
+
 def test_ground_states_are_blocks(region5):
     targets = (5, 5, 5)
     states = ground_states(region5, targets)

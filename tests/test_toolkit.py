@@ -12,6 +12,7 @@ from trirecom.partition import is_connected, is_cut_vertex
 from trirecom.toolkit import (
     NoShrinkVertex,
     StructuralError,
+    _checked_flip,
     bfs_last_order,
     build_tower,
     cycle_recombine,
@@ -251,6 +252,27 @@ def test_cycle_recombine_rejects_bad_inputs():
 
 
 # -- towers ----------------------------------------------------------------------
+
+
+def test_checked_flip_accepts_exactly_the_valid_flips(pool5):
+    # on a state known valid (the applied flip's carried validity is the
+    # check) and on a copy of unknown validity (flip_valid first), against
+    # the full recomputation on a copy built from labels alone
+    accepted = refused = 0
+    for p in pool5[:20]:
+        full = unclassified(p)
+        for start in (p, unclassified(p)):
+            for v in p.region.vertices:
+                for to in (1, 2, 3):
+                    q = _checked_flip(start, v, to)
+                    if flip_valid(full, v, to):
+                        assert q is not None
+                        assert q.labels[p.region.index_of[v]] == to
+                        accepted += 1
+                    else:
+                        assert q is None
+                        refused += 1
+    assert accepted > 100 and refused > 100
 
 
 def test_towers_found_in_samples_resolve_correctly(pool5):
