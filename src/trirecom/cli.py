@@ -18,7 +18,7 @@ import tempfile
 import click
 
 from .lattice import TriRegion, build_region
-from .moves import RecomStep, apply_recom
+from .moves import RecomStep
 from .oracle import (
     build_state_graph,
     enumerate_omega,
@@ -418,11 +418,9 @@ def render_cmd(state_file, trace_file, out):
                 f"(step {report['failed_at']}: {report['reason']})"
             )
         frames = [(source, "source")]
-        cur = source
         for idx, step in enumerate(trace.steps):
-            cur = apply_recom(cur, step)
             caption = f"step {idx + 1}: {step.note}" if step.note else f"step {idx + 1}"
-            frames.append((cur, caption))
+            frames.append((source.with_labels(step.after), caption))
     write_atomic(out, render_svg(frames))
     click.echo(f"svg written to {out} ({len(frames)} frame(s))")
 

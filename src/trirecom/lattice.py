@@ -145,10 +145,6 @@ class TriRegion:
         self._cols_leq_masks: tuple[int, ...] = tuple(
             full & ((1 << ((i + 1) * self.width)) - 1) for i in range(n + 1)
         )
-        #: The slot pattern of each vertex's in-region neighbors.
-        self.region_pattern: dict[Vertex, int] = {
-            v: self.slot_pattern(full, v) for v in self.vertices
-        }
 
     def _build_faces(self) -> tuple[tuple[Vertex, Vertex, Vertex], ...]:
         # Each face is listed with its vertices in clockwise order.
@@ -165,9 +161,6 @@ class TriRegion:
         return tuple(faces)
 
     # -- basic queries -----------------------------------------------------
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.vertex_set
 
     def mask_of(self, vset) -> int:
         """The bitboard of a set of region vertices."""

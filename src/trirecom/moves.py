@@ -29,15 +29,7 @@ from .partition import (
     Partition,
     _simply_connected_mask,
     classify,
-    in_omega,
 )
-
-
-@dataclass(frozen=True)
-class FlipStep:
-    vertex: Vertex
-    from_district: int
-    to_district: int
 
 
 @dataclass(frozen=True)
@@ -119,18 +111,6 @@ def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:
 
 def untouched_of_flip(frm: int, to: int) -> int:
     return ({1, 2, 3} - {frm, to}).pop()
-
-
-def recom_valid(p: Partition, q: Partition) -> bool:
-    """True iff p and q are distinct Omega members sharing one identical
-    district."""
-    if p.labels == q.labels:
-        return False
-    if p.region is not q.region or p.targets != q.targets:
-        return False
-    if not in_omega(p) or not in_omega(q):
-        return False
-    return any(a == b for a, b in zip(p.masks(), q.masks()))
 
 
 def apply_recom(p: Partition, step: RecomStep) -> Partition:

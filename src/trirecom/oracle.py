@@ -1,6 +1,6 @@
 """Brute-force ground truth for small instances: enumerate the state space,
-build the recombination state graph, and report connectivity, rigid states,
-and eccentricity statistics.
+build the recombination state graph, and report its components and rigid
+states.
 
 Enumeration works on the region's bitboards (see lattice.TriRegion.bit_of).
 Simply connected subsets are grown from their lowest bit with int candidate,
@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
-from .lattice import TriRegion, Vertex
+from .lattice import TriRegion
 from .partition import (
     Partition,
     Targets,
@@ -68,23 +68,6 @@ def _anchored_masks(w: int, sizes: set[int], allowed: int, anchors: int):
         anchors ^= a
         # the anchor is the one candidate of the empty set
         yield from grow(0, 0, a, 0, allowed & -(a << 1))
-
-
-def simply_connected_subsets(
-    region: TriRegion,
-    sizes: set[int],
-    allowed: frozenset[Vertex] | None = None,
-):
-    """All simply connected subsets of `allowed` (default: every vertex) whose
-    size lies in `sizes`, each generated exactly once by anchored growth: a
-    subset is grown only from its smallest vertex in ordering order."""
-    if not sizes:
-        return
-    allowed_mask = (
-        region.full_mask if allowed is None else region.mask_of(allowed)
-    )
-    for m in _anchored_masks(region.width, sizes, allowed_mask, allowed_mask):
-        yield frozenset(region.vertices_of(m))
 
 
 def enumerate_omega(
@@ -175,27 +158,6 @@ def _partition(
     return Partition._derived(region, targets, labels, masks, True)
 
 
-def enumerate_omega_bruteforce(
-    region: TriRegion, targets: Targets, slack: int = 1
-) -> list[Partition]:
-    """Independent cross-check: filter all 3^N labelings.  Only for tiny n."""
-    if region.num_vertices > 12:
-        raise ValueError("brute-force labeling only supported for tiny regions")
-    out = []
-    windows = [
-        set(range(k - slack, k + slack + 1)) for k in targets
-    ]
-    for labels in itertools.product((1, 2, 3), repeat=region.num_vertices):
-        p = Partition(region, targets, labels)
-        sizes = p.sizes()
-        if any(sz not in w for sz, w in zip(sizes, windows)):
-            continue
-        if all(_simply_connected_mask(m, region.width) for m in p.masks()):
-            out.append(p)
-    out.sort(key=lambda p: p.labels)
-    return out
-
-
 @dataclass
 class StateGraph:
     states: list[Partition]
@@ -253,10 +215,6 @@ def build_state_graph(states: list[Partition]) -> StateGraph:
     return StateGraph(states, adj_sorted, comp, n_comp)
 
 
-def check_connected(g: StateGraph) -> tuple[bool, int]:
-    return g.num_components == 1, g.num_components
-
-
 def unlabeled_form(p: Partition) -> tuple[int, ...]:
     """Canonical label array with districts renamed by first appearance,
     identifying partitions that differ only by district relabeling."""
@@ -280,27 +238,3 @@ def rigid_states(g: StateGraph) -> list[Partition]:
         if all(forms[j] == forms[i] for j in g.adjacency[i])
     ]
 
-
-def eccentricity_stats(g: StateGraph) -> dict:
-    """Exact eccentricities by BFS from every state (per component)."""
-    n = len(g.states)
-    ecc = []
-    for start in range(n):
-        dist = {start: 0}
-        queue = deque([start])
-        far = 0
-        while queue:
-            i = queue.popleft()
-            for j in g.adjacency[i]:
-                if j not in dist:
-                    dist[j] = dist[i] + 1
-                    far = max(far, dist[j])
-                    queue.append(j)
-        ecc.append(far)
-    return {
-        "num_states": n,
-        "num_components": g.num_components,
-        "num_rigid": len(rigid_states(g)),
-        "diameter": max(ecc) if ecc else 0,
-        "radius": min(ecc) if ecc else 0,
-    }

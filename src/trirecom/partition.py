@@ -1,5 +1,5 @@
 """Partition representation and structural predicates: simple connectivity,
-balance classification, district neighborhoods, cut and exposed vertices,
+balance classification, connected components, district neighborhoods,
 tricolor triangles, rebalance-case dispatch, and ground-state construction.
 
 Validity runs on bitboards: each Partition caches one int mask per district,
@@ -17,9 +17,9 @@ cached per permutation), permuted, with_moves, with_labels (which keeps its
 length check), oracle._partition, moves.apply_flip and the final state of
 pathfinder.verify_trace.  with_moves and relabeled carry the parent's cached
 masks and district sets, updated by the moves or the permutation, and
-apply_flip its masks, updated by the flipped bit.  Neighborhood predicates
-(cut vertex, exposed vertex, arc connectivity) read a vertex's 6-bit slot
-pattern out of one district mask, tricolor faces come from shifted ANDs of
+apply_flip its masks, updated by the flipped bit.  The arc test
+(at_most_one_arc) reads a vertex's 6-bit slot pattern out of one district
+mask, tricolor faces come from shifted ANDs of
 the three masks, and district adjacency and the rebalance-case dispatch AND
 one mask with the neighbor shifts of another
 (lattice.TriRegion.neighbors_mask).
@@ -99,13 +99,6 @@ def component_of(
     return frozenset(seen)
 
 
-def is_connected(region: TriRegion, vset: Iterable[Vertex]) -> bool:
-    vset = set(vset)
-    if not vset:
-        return False
-    return len(component_of(region, vset, next(iter(vset)))) == len(vset)
-
-
 def _simply_connected_mask(m: int, w: int) -> bool:
     """Simple connectivity of a bitboard of column width w (see
     lattice.TriRegion.bit_of).  A shift-and-mask flood fill from the lowest
@@ -164,12 +157,6 @@ _RELABELINGS: dict[tuple[int, int, int], tuple] = {
     )
     for image in itertools.permutations(DISTRICTS)
 }
-
-
-def is_simply_connected(region: TriRegion, vset: Iterable[Vertex]) -> bool:
-    """True iff vset is nonempty, connected, and encloses no complement
-    vertex (every complement component reaches the region boundary)."""
-    return _simply_connected_mask(region.mask_of(vset), region.width)
 
 
 class Partition:
@@ -309,14 +296,6 @@ class Partition:
             self._valid,
         )
 
-    def reflected(self) -> "Partition":
-        """The mirror image under the column-fixing reflection."""
-        return self.permuted(self.region.frame(True, 0)[0])
-
-    def rotated(self, turns: int = 1) -> "Partition":
-        """The image under `turns` third-of-a-turn rotations."""
-        return self.permuted(self.region.frame(False, turns)[0])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)
@@ -371,42 +350,11 @@ def in_omega(p: Partition) -> bool:
     return classify(p) is not BalanceClass.OUTSIDE_OMEGA
 
 
-def _slots_in(p: Partition, v: Vertex, d: int) -> int:
-    """The slot pattern of v's district-d neighbors (see
-    lattice.TriRegion.slot_pattern)."""
-    return p.region.slot_pattern(p.masks()[d - 1], v)
-
-
 def at_most_one_arc(p: Partition, v: Vertex, d: int) -> bool:
     """True iff v's district-d neighbors form at most one contiguous arc of
-    the 6-slot cycle; true when v has no district-d neighbor."""
-    return ONE_ARC[_slots_in(p, v, d)]
-
-
-def own_neighborhood_connected(p: Partition, v: Vertex) -> bool:
-    return ONE_ARC[_slots_in(p, v, p.district(v))]
-
-
-def is_cut_vertex(p: Partition, v: Vertex) -> bool:
-    """True iff removing v disconnects its district, equivalently its
-    own-district neighborhood is not one contiguous arc."""
-    return not ONE_ARC[_slots_in(p, v, p.district(v))]
-
-
-def exposed_vertices(p: Partition, d: int) -> frozenset[Vertex]:
-    """Vertices of district d adjacent to a different district."""
-    out = set()
-    for v in p.district_set(d):
-        for u in p.region.neighbors(v):
-            if p.district(u) != d:
-                out.add(v)
-                break
-    return frozenset(out)
-
-
-def is_exposed(p: Partition, v: Vertex) -> bool:
-    """True iff some neighbor of v lies in another district."""
-    return _slots_in(p, v, p.district(v)) != p.region.region_pattern[v]
+    the 6-slot cycle (lattice.TriRegion.slot_pattern); true when v has no
+    district-d neighbor."""
+    return ONE_ARC[p.region.slot_pattern(p.masks()[d - 1], v)]
 
 
 @dataclass(frozen=True)
@@ -506,9 +454,3 @@ def ground_state(region: TriRegion, targets: Targets, perm: tuple[int, int, int]
         labels.extend([d] * targets[d - 1])
     return Partition(region, targets, tuple(labels))
 
-
-def ground_states(region: TriRegion, targets: Targets) -> dict[tuple[int, int, int], Partition]:
-    return {
-        perm: ground_state(region, targets, perm)
-        for perm in itertools.permutations((1, 2, 3))
-    }

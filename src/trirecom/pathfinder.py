@@ -65,6 +65,7 @@ from .moves import (
 )
 from .partition import (
     BalanceClass,
+    DISTRICTS,
     Partition,
     Targets,
     _label_masks,
@@ -2328,6 +2329,9 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
         cur_steps = out
 
 
+_LABELS = frozenset(DISTRICTS)
+
+
 def verify_trace(source: Partition, trace: Trace) -> dict:
     """Independently re-validate the source and every step of the trace.
 
@@ -2340,7 +2344,8 @@ def verify_trace(source: Partition, trace: Trace) -> dict:
     so a memo hit is exactly the answer a flood fill would give.  A step's
     untouched district is the previous state's mask and always hits.  Only
     the report's `final` is built as a Partition.  A label array of the
-    wrong length raises ValueError."""
+    wrong length, a label outside 1..3 or a step's untouched district
+    outside 1..3 raises ValueError."""
     if trace.source != source.labels:
         return {"ok": False, "failed_at": -1, "reason": "source mismatch"}
     region, targets = source.region, source.targets
@@ -2360,6 +2365,8 @@ def verify_trace(source: Partition, trace: Trace) -> dict:
         return True
 
     labels = source.labels
+    if not _LABELS.issuperset(labels):
+        raise ValueError("labels must lie in 1..3")
     cur = _label_masks(bits, labels)
     if not in_omega_masks(cur):
         return {"ok": False, "failed_at": -1, "reason": "source outside the window"}
@@ -2367,6 +2374,8 @@ def verify_trace(source: Partition, trace: Trace) -> dict:
         after = step.after
         if len(after) != num_vertices:
             raise ValueError("label array length mismatch")
+        if step.untouched not in _LABELS or not _LABELS.issuperset(after):
+            raise ValueError("labels and untouched districts must lie in 1..3")
         after = tuple(after)
         masks = _label_masks(bits, after)
         if (

@@ -1,9 +1,12 @@
 """Shared test helpers: random state samplers, boundary-run utilities, and the
-reference definitions of simple connectivity (breadth-first search), of
-tricolor triangles (a scan over every face), of the route builder's
-vertex-set scans that now run on bitboards (removable vertices, rebalance
-case dispatch, district adjacency, first open column), and of trace
-verification (one classified Partition per state)."""
+reference definitions the program is checked against.  These are simple
+connectivity (breadth-first search, and the bitboard kernel over a vertex
+set), connectivity, cut and exposed vertices, recombination validity on
+states rebuilt from their labels, simply connected subsets and the window by
+filtering every labelling, tricolor triangles (a scan over every face), the
+route builder's vertex-set scans that now run on bitboards (removable
+vertices, rebalance case dispatch, district adjacency, first open column),
+and trace verification (one classified Partition per state)."""
 
 from __future__ import annotations
 
@@ -19,16 +22,16 @@ from trirecom import (
 )
 from trirecom.lattice import ordering_index
 from trirecom.moves import RecomStep, neighborhood_flip_test, untouched_of_flip
+from trirecom.oracle import _anchored_masks
 from trirecom.toolkit import _checked_flip
 from trirecom.partition import (
     BalanceClass,
     TricolorTriangle,
+    _simply_connected_mask,
+    at_most_one_arc,
     classify,
+    component_of,
     connected_components,
-    is_connected,
-    is_cut_vertex,
-    is_exposed,
-    is_simply_connected,
 )
 
 #: Balanced target vectors used for sampled instances at each side length.
@@ -52,6 +55,88 @@ def bfs_is_simply_connected(region, vset) -> bool:
         comp & region.boundary
         for comp in connected_components(region, complement)
     )
+
+
+def is_connected(region, vset) -> bool:
+    """vset is nonempty and connected."""
+    vset = set(vset)
+    if not vset:
+        return False
+    return len(component_of(region, vset, next(iter(vset)))) == len(vset)
+
+
+def is_simply_connected(region, vset) -> bool:
+    """The flood-fill kernel on a vertex set: true iff vset is nonempty,
+    connected, and encloses no complement vertex."""
+    return _simply_connected_mask(region.mask_of(vset), region.width)
+
+
+def is_cut_vertex(p: Partition, v) -> bool:
+    """True iff removing v disconnects its district, equivalently its
+    own-district neighborhood is not one contiguous arc."""
+    return not at_most_one_arc(p, v, p.district(v))
+
+
+def is_exposed(p: Partition, v) -> bool:
+    """True iff some neighbor of v lies in another district: the slot
+    pattern of v's own district differs from that of the whole region."""
+    region = p.region
+    own = region.slot_pattern(p.masks()[p.district(v) - 1], v)
+    return own != region.slot_pattern(region.full_mask, v)
+
+
+def exposed_vertices(p: Partition, d: int) -> frozenset:
+    """Vertices of district d adjacent to a different district."""
+    out = set()
+    for v in p.district_set(d):
+        for u in p.region.neighbors(v):
+            if p.district(u) != d:
+                out.add(v)
+                break
+    return frozenset(out)
+
+
+def recom_valid(p: Partition, q: Partition) -> bool:
+    """True iff p and q are distinct window states of one instance sharing
+    one identical district, both classified afresh from their labels."""
+    if p.labels == q.labels:
+        return False
+    if p.region is not q.region or p.targets != q.targets:
+        return False
+    p, q = unclassified(p), unclassified(q)
+    if not in_omega(p) or not in_omega(q):
+        return False
+    return any(a == b for a, b in zip(p.masks(), q.masks()))
+
+
+def simply_connected_subsets(region, sizes: set[int], allowed=None):
+    """All simply connected subsets of `allowed` (default: every vertex) whose
+    size lies in `sizes`, as vertex sets, by the enumerator's anchored growth
+    (oracle._anchored_masks)."""
+    if not sizes:
+        return
+    allowed_mask = (
+        region.full_mask if allowed is None else region.mask_of(allowed)
+    )
+    for m in _anchored_masks(region.width, sizes, allowed_mask, allowed_mask):
+        yield frozenset(region.vertices_of(m))
+
+
+def enumerate_omega_bruteforce(region, targets, slack: int = 1) -> list[Partition]:
+    """Reference for oracle.enumerate_omega: filter all 3^N labelings.  Only
+    for tiny n."""
+    if region.num_vertices > 12:
+        raise ValueError("brute-force labeling only supported for tiny regions")
+    out = []
+    windows = [set(range(k - slack, k + slack + 1)) for k in targets]
+    for labels in itertools.product((1, 2, 3), repeat=region.num_vertices):
+        p = Partition(region, targets, labels)
+        if any(sz not in w for sz, w in zip(p.sizes(), windows)):
+            continue
+        if all(_simply_connected_mask(m, region.width) for m in p.masks()):
+            out.append(p)
+    out.sort(key=lambda p: p.labels)
+    return out
 
 
 def scan_tricolor_triangles(p: Partition) -> list[TricolorTriangle]:

@@ -25,7 +25,6 @@ from trirecom import (
 from trirecom.moves import (
     apply_recom,
     neighborhood_flip_test,
-    recom_valid,
     reverse,
 )
 from trirecom.oracle import rigid_states, unlabeled_form
@@ -33,9 +32,6 @@ from trirecom.partition import (
     BalanceClass,
     classify,
     connected_components,
-    is_connected,
-    is_cut_vertex,
-    is_simply_connected,
     tricolor_triangles,
 )
 from trirecom.pathfinder import balance_nearly, ground_path
@@ -48,9 +44,13 @@ from trirecom.toolkit import (
 
 from support import (
     boundary_pair_alternates,
+    is_connected,
+    is_cut_vertex,
+    is_simply_connected,
     lift_flip,
     random_connected_subset,
     random_interior_tripartition,
+    recom_valid,
     state_pool,
     unclassified,
 )

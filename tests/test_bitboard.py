@@ -12,12 +12,10 @@ import pytest
 from trirecom import Partition, build_region
 from trirecom.lattice import DIRECTIONS, ONE_ARC
 from trirecom.partition import (
+    _simply_connected_mask,
     case_dispatch,
     districts_adjacent,
-    is_connected,
-    is_simply_connected,
 )
-from trirecom.partition import _simply_connected_mask
 from trirecom.pathfinder import _first_open_column, _removables
 
 from support import (
@@ -26,6 +24,8 @@ from support import (
     case_dispatch_reference,
     districts_adjacent_reference,
     first_open_column_reference,
+    is_connected,
+    is_simply_connected,
     random_interior_state,
     random_omega_state,
     removables_reference,
@@ -196,9 +196,9 @@ def test_partition_masks_and_sizes_follow_the_labels(n, targets):
         _check_masks(p)
         for q in (
             p.relabeled({1: 3, 2: 1, 3: 2}),
-            p.reflected(),
-            p.rotated(),
-            p.rotated(2),
+            p.permuted(region.frame(True, 0)[0]),
+            p.permuted(region.frame(False, 1)[0]),
+            p.permuted(region.frame(False, 2)[0]),
         ):
             _check_masks(q)
         moves = [

@@ -224,9 +224,13 @@ def test_verify_trace_decides_mutated_routes_as_the_reference(corpus_routes):
         for _ in range(2):
             for kind, source, labels, steps in _mutations(sigma, trace.steps, rng):
                 decision = _decision(verify_trace, source, labels, steps)
-                assert decision == _decision(
-                    verify_trace_reference, source, labels, steps
-                ), (kind, sigma.labels)
+                if kind == "outside":
+                    # malformed input, refused like a wrong label length
+                    assert decision is ValueError, sigma.labels
+                else:
+                    assert decision == _decision(
+                        verify_trace_reference, source, labels, steps
+                    ), (kind, sigma.labels)
                 kinds.setdefault(kind, set()).add(
                     decision if isinstance(decision, type) else decision[:3]
                 )
@@ -235,12 +239,11 @@ def test_verify_trace_decides_mutated_routes_as_the_reference(corpus_routes):
     assert set(kinds) == {
         "label", "untouched", "dropped", "repeated", "outside", "source",
     }
-    # every kind is refused somewhere, and the labels outside 1..3 raise
-    # (label 4) or are refused (0 and -1 read as other districts)
+    # every kind is refused somewhere, and every label outside 1..3 raises
     for kind, decisions in kinds.items():
         assert any(d != (True, None, None) for d in decisions), kind
     assert kinds["source"] == {(False, -1, "source outside the window")}
-    assert IndexError in kinds["outside"]
+    assert kinds["outside"] == {ValueError}
 
 
 def test_verify_trace_and_the_reference_raise_on_a_wrong_label_length(
@@ -252,6 +255,21 @@ def test_verify_trace_and_the_reference_raise_on_a_wrong_label_length(
         for verify in (verify_trace, verify_trace_reference):
             with pytest.raises(ValueError, match="label array length"):
                 verify(sigma, Trace(sigma.labels, steps))
+
+
+def test_verify_trace_raises_on_a_source_label_or_untouched_outside_1_to_3(
+    corpus_routes,
+):
+    # the step labels are covered by the "outside" mutations above
+    sigma, trace = corpus_routes[0]
+    for bad in (0, 4, -1, -2):
+        labels = (bad,) + sigma.labels[1:]
+        source = Partition(sigma.region, sigma.targets, labels)
+        with pytest.raises(ValueError, match="1..3"):
+            verify_trace(source, Trace(labels, trace.steps))
+        steps = [RecomStep(bad, trace.steps[0].after), *trace.steps[1:]]
+        with pytest.raises(ValueError, match="1..3"):
+            verify_trace(sigma, Trace(sigma.labels, steps))
 
 
 def test_corpus_covers_refusals_and_size():

@@ -43,7 +43,7 @@ def test_neighbor_slots_match_direction_offsets(rv):
     assert len(slots) == 6
     for d, (dcol, drow) in enumerate(DIRECTIONS):
         u = (col + dcol, row + drow)
-        assert slots[d] == (u if u in region else OUTSIDE)
+        assert slots[d] == (u if u in region.vertex_set else OUTSIDE)
     assert tuple(u for u in slots if u is not OUTSIDE) == region.neighbors(v)
 
 
@@ -101,7 +101,7 @@ def test_boundary_cycle(n):
 def test_reflect_is_an_involution_preserving_adjacency(rv):
     region, v = rv
     w = region.reflect(v)
-    assert w in region
+    assert w in region.vertex_set
     assert w[0] == v[0]
     assert region.reflect(w) == v
     for u in region.neighbors(v):
@@ -113,7 +113,7 @@ def test_rotate_has_order_three_and_cycles_corners(rv):
     region, v = rv
     n = region.n
     w = region.rotate(v)
-    assert w in region
+    assert w in region.vertex_set
     assert region.rotate(region.rotate(w)) == v
     cycle = {(1, 1): (n, 1), (n, 1): (n, n), (n, n): (1, 1)}
     if v in cycle:

@@ -17,7 +17,6 @@ from trirecom.moves import (
     RecomStep,
     apply_recom,
     neighborhood_flip_test,
-    recom_valid,
     reverse,
     untouched_of_flip,
 )
@@ -28,6 +27,7 @@ from support import (
     bfs_is_simply_connected,
     lift_flip,
     random_omega_state,
+    recom_valid,
     unclassified,
 )
 

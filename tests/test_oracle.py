@@ -1,5 +1,5 @@
 """Brute-force enumeration oracle: subset generation, window enumeration,
-state-graph construction, rigidity, and eccentricities."""
+state-graph construction, and rigidity."""
 
 import hashlib
 import itertools
@@ -7,17 +7,15 @@ import itertools
 import pytest
 
 from trirecom import Partition, build_region, build_state_graph, enumerate_omega, in_omega
-from trirecom.moves import recom_valid
-from trirecom.oracle import (
-    MAX_ENUMERATION_SIDE,
-    check_connected,
+from trirecom.oracle import MAX_ENUMERATION_SIDE, rigid_states, unlabeled_form
+from trirecom.partition import is_valid
+
+from support import (
     enumerate_omega_bruteforce,
-    eccentricity_stats,
-    rigid_states,
+    is_simply_connected,
+    recom_valid,
     simply_connected_subsets,
-    unlabeled_form,
 )
-from trirecom.partition import is_simply_connected, is_valid
 
 
 def test_simply_connected_subsets_counts_and_uniqueness():
@@ -146,6 +144,7 @@ def test_window_is_closed_under_symmetries():
 def test_frozen_counts_n3(omega3_exact, omega3_relaxed):
     assert len(omega3_exact) == 12
     assert len(omega3_relaxed) == 138
+    assert build_state_graph(omega3_relaxed).num_components == 1
     for p in omega3_relaxed:
         assert in_omega(p)
 
@@ -155,7 +154,7 @@ def test_frozen_counts_n4():
     states = enumerate_omega(region, (3, 3, 4), slack=1)
     assert len(states) == 510
     graph = build_state_graph(states)
-    assert check_connected(graph) == (True, 1)
+    assert graph.num_components == 1
     # adjacent exactly when some district bitboard is identical, all pairs
     masks = [p.masks() for p in states]
     for i, mi in enumerate(masks):
@@ -214,14 +213,6 @@ def test_unlabeled_form_is_relabel_invariant(omega3_relaxed):
     assert len(
         {unlabeled_form(p) for p in omega3_relaxed}
     ) == len(omega3_relaxed) // 6
-
-
-def test_eccentricity_stats_n3(omega3_relaxed):
-    graph = build_state_graph(omega3_relaxed)
-    stats = eccentricity_stats(graph)
-    assert stats["num_states"] == 138
-    assert stats["num_components"] == 1
-    assert 0 < stats["radius"] <= stats["diameter"]
 
 
 def test_omega5_count_and_membership(omega5):

@@ -20,7 +20,7 @@ from trirecom import (
     verify_trace,
 )
 from trirecom.moves import RecomStep, apply_recom, untouched_of_flip
-from trirecom.partition import BalanceClass, classify, ground_states, in_window
+from trirecom.partition import BalanceClass, classify, in_window
 from trirecom.pathfinder import (
     MIN_SIDE,
     _Builder,
@@ -77,7 +77,10 @@ def test_min_targets_are_rejected():
 
 def test_sweep_and_finish_reach_a_block_state(pool5):
     region = build_region(5)
-    blocks = {p.labels for p in ground_states(region, (5, 5, 5)).values()}
+    blocks = {
+        ground_state(region, (5, 5, 5), perm).labels
+        for perm in itertools.permutations((1, 2, 3))
+    }
     for p in pool5[:25]:
         if classify(p) is not BalanceClass.BALANCED:
             continue

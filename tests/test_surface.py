@@ -1,0 +1,132 @@
+"""The public surface of `src/trirecom` is what the system runs.
+
+Every public top-level function or class, and every public method, must be
+referenced somewhere in `src/` outside its own definition, or in a benchmark
+script (`perfbench/*.py` other than its tests).  Code only the tests call
+belongs in `tests/support.py`.  Exempt are click commands (the CLI calls
+them through its group), dunders, and the allowlist below.  No `src/`
+module may import a name it does not use.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "trirecom").glob("*.py"))
+BENCH = sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
+)
+
+#: Public names only the tests call, kept because the README documents them.
+ALLOWED_UNREFERENCED = {
+    # the engine's phase API: each returns a verified Trace, and
+    # tests/test_branches.py drives them
+    "sweep",
+    "finish_ground",
+    "balance_nearly",
+    "ground_path",
+    # writes the state-file format that cli.load_state reads
+    "state_to_obj",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of the public top-level functions and classes
+    and of the public methods of top-level classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _references(tree: ast.Module):
+    """(name, ids of the enclosing definitions) for every name, attribute
+    and imported name in the tree."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Name):
+            out.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rpartition(".")[2], inside))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_every_public_name_in_src_has_a_caller_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in SRC + BENCH}
+    refs: dict[str, list[frozenset]] = {}
+    for tree in trees.values():
+        for name, inside in _references(tree):
+            refs.setdefault(name, []).append(inside)
+    unreferenced = []
+    for path in SRC:
+        for qualname, node in _public_definitions(trees[path]):
+            if node.name in ALLOWED_UNREFERENCED or _is_click_command(node):
+                continue
+            # a recursive call is not a caller
+            if not any(id(node) not in inside for inside in refs.get(node.name, ())):
+                unreferenced.append(f"{path.stem}.{qualname}")
+    assert not unreferenced, (
+        f"public names only the tests call: {unreferenced}; delete them or "
+        f"move them to tests/support.py"
+    )
+
+
+def test_allowlist_names_are_defined():
+    defined = {
+        node.name for path in SRC for _, node in _public_definitions(ast.parse(path.read_text()))
+    }
+    assert ALLOWED_UNREFERENCED <= defined
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.partition(".")[0])
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # a re-export listed in __all__ is a use
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_src_modules_import_only_names_they_use():
+    unused = {
+        path.name: names
+        for path in SRC
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert not unused, f"unused imports: {unused}"

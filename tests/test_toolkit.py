@@ -8,7 +8,6 @@ import pytest
 
 from trirecom import Partition, build_region, flip_valid, ground_state
 from trirecom.lattice import ordering_index
-from trirecom.partition import is_connected, is_cut_vertex
 from trirecom.toolkit import (
     NoShrinkVertex,
     StructuralError,
@@ -22,9 +21,15 @@ from trirecom.toolkit import (
     unwind,
     vertices_enclosed,
 )
-from trirecom.partition import is_exposed
 
-from support import random_connected_subset, random_omega_state, unclassified
+from support import (
+    is_connected,
+    is_cut_vertex,
+    is_exposed,
+    random_connected_subset,
+    random_omega_state,
+    unclassified,
+)
 
 
 @pytest.fixture(scope="module")
