@@ -10,18 +10,18 @@ label array into the three masks, for Partition.masks and for
 pathfinder.verify_trace, which checks traces on bare masks.
 
 States derived from an already constructed partition go through one private
-constructor, Partition._derived, which skips the label-length and target-sum
-checks the parent passed and takes the masks, validity and district sets the
-caller knows: relabeled (its translate table and target/mask/set picker are
-cached per permutation), permuted, with_moves, with_labels (which keeps its
-length check), oracle._partition, moves.apply_flip and the final state of
-pathfinder.verify_trace.  with_moves and relabeled carry the parent's cached
-masks and district sets, updated by the moves or the permutation, and
-apply_flip its masks, updated by the flipped bit.  The arc test
-(at_most_one_arc) reads a vertex's 6-bit slot pattern out of one district
-mask, tricolor faces come from shifted ANDs of
-the three masks, and district adjacency and the rebalance-case dispatch AND
-one mask with the neighbor shifts of another
+constructor, Partition._derived, which skips the label-length, label-range
+and target-sum checks the parent passed and takes the masks, validity and
+district sets the caller knows: relabeled (its translate table and
+target/mask/set picker are cached per permutation), permuted, with_moves,
+oracle._partition, moves.apply_flip and the final state of
+pathfinder.verify_trace.  with_labels goes through the checking constructor.
+with_moves and relabeled carry the parent's cached masks and district sets,
+updated by the moves or the permutation, and apply_flip its masks, updated
+by the flipped bit.  The arc test (at_most_one_arc) reads a vertex's 6-bit
+slot pattern out of one district mask, tricolor faces come from shifted ANDs
+of the three masks, and district adjacency and the rebalance-case dispatch
+AND one mask with the neighbor shifts of another
 (lattice.TriRegion.neighbors_mask).
 
 A Partition is immutable, so two answers are cached on it.  Its validity
@@ -53,6 +53,7 @@ from .lattice import ONE_ARC, TriRegion, Vertex
 
 Targets = tuple[int, int, int]
 DISTRICTS = (1, 2, 3)
+_LABELS = frozenset(DISTRICTS)
 
 
 class BalanceClass(enum.Enum):
@@ -173,6 +174,8 @@ class Partition:
             raise ValueError("label array length mismatch")
         if sum(targets) != region.num_vertices:
             raise ValueError("targets must sum to the vertex count")
+        if not _LABELS.issuperset(labels):
+            raise ValueError("labels must lie in 1..3")
         self.region = region
         self.targets = tuple(targets)
         self.labels = tuple(labels)
@@ -196,9 +199,10 @@ class Partition:
         districts: Optional[tuple[frozenset, ...]] = None,
     ) -> "Partition":
         """A state derived from an already constructed partition: the label
-        length and the target sum were checked on the parent, so they are
-        not checked again, and the caller passes the masks, validity and
-        district sets it already knows (see the module doc)."""
+        length, the label range and the target sum were checked on the
+        parent, so they are not checked again, and the caller passes the
+        masks, validity and district sets it already knows (see the module
+        doc)."""
         q = cls.__new__(cls)
         q.region = region
         q.targets = targets
@@ -263,11 +267,9 @@ class Partition:
         )
 
     def with_labels(self, labels: tuple[int, ...]) -> "Partition":
-        """New partition with the given labels (length checked), same
-        region and targets."""
-        if len(labels) != self.region.num_vertices:
-            raise ValueError("label array length mismatch")
-        return Partition._derived(self.region, self.targets, tuple(labels))
+        """New partition with the given labels, checked by the constructor,
+        same region and targets."""
+        return Partition(self.region, self.targets, labels)
 
     def relabeled(self, perm: dict[int, int]) -> "Partition":
         """Apply a district relabeling: old label d becomes perm[d].  Targets,

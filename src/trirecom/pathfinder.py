@@ -65,9 +65,9 @@ from .moves import (
 )
 from .partition import (
     BalanceClass,
-    DISTRICTS,
     Partition,
     Targets,
+    _LABELS,
     _label_masks,
     _simply_connected_mask,
     at_most_one_arc,
@@ -254,16 +254,6 @@ def _first_success(b: _Builder, func, candidates) -> None:
         if first_err is None:
             first_err = err
     raise first_err
-
-
-def _mirror_retry(b: _Builder, func, *args) -> None:
-    """Run func; on a structural failure retry on the mirror image, keeping
-    the first error if both orientations fail."""
-    first = b.attempt(func, *args)
-    if first is not None and b.run(
-        lambda sub: sub.attempt(func, *args), reflect=True
-    ):
-        raise first
 
 
 # -- small structural helpers ---------------------------------------------------
@@ -494,7 +484,7 @@ def _rebalance_std(b: _Builder, i: int) -> None:
         raise PathError("rebalance", "no district-1 vertex beyond the column")
     case = case_dispatch(p)
     func = {"A": _case_a, "B": _case_b, "C": _case_c, "D": _case_d}[case]
-    _mirror_retry(b, func, i)
+    func(b, i)
     if not b.balanced():
         raise PathError("rebalance", "case procedure ended unbalanced")
 
@@ -1125,20 +1115,11 @@ def _case_b(b: _Builder, i: int) -> None:
     p = b.p
     if p.district_set(2) & p.region.boundary:
         raise PathError("interior-2", "district 2 touches the boundary")
-    tris = sorted(
-        tricolor_triangles(p),
-        key=lambda t: min(ordering_index(u) for u in t.vertices),
-    )
+    tris = tricolor_triangles(p)
     if not tris:
         raise PathError("interior-2", "no tricolor face")
-    _first_success(
-        b,
-        _interior_pair,
-        [
-            (i, tri.vertex_in(p, 2), tri.vertex_in(p, 3), tri.vertex_in(p, 1))
-            for tri in tris
-        ],
-    )
+    tri = min(tris, key=lambda t: min(ordering_index(u) for u in t.vertices))
+    _interior_pair(b, i, tri.vertex_in(p, 2), tri.vertex_in(p, 3), tri.vertex_in(p, 1))
 
 
 def _case_c(b: _Builder, i: int) -> None:
@@ -2327,9 +2308,6 @@ def compress_steps(source: Partition, steps: list[RecomStep]) -> list[RecomStep]
         if len(out) == len(cur_steps):
             return out
         cur_steps = out
-
-
-_LABELS = frozenset(DISTRICTS)
 
 
 def verify_trace(source: Partition, trace: Trace) -> dict:

@@ -3,10 +3,12 @@
 `tests/fixtures/branch_states.json` holds, for the case functions of
 `trirecom.pathfinder` that mild samples miss, the smallest-side state a
 sampler produced that reaches each (one state may serve several), plus
-recorded reproducers of known refusals.  Each entry records
-its provenance (a sampler of `support.py`, the side, the seed, and the
-vertex moves an aimed flip walk made from the sampled state; recorded
-reproducers without a seed have sampler null) and its expected outcome:
+recorded reproducers of known refusals and the recorded states whose route
+needs a later candidate of Case A's or Case D's pair loop (their
+`reaches` names the pair function).  Each entry records its provenance (a
+sampler of `support.py`, the side, the seed, and the vertex moves an aimed
+flip walk made from the sampled state; recorded states without a seed have
+sampler null and say where they came from) and its expected outcome:
 "route" or the exact `PathError` text.
 
 Each state is routed to the block state (1, 2, 3) by `path` and, phase by

@@ -164,6 +164,17 @@ def test_partition_requires_matching_targets(region5):
         Partition(region5, (5, 5, 6), ground_state(region5, (5, 5, 5), (1, 2, 3)).labels)
 
 
+@pytest.mark.parametrize("bad", [0, 4, -1])
+def test_partition_and_with_labels_refuse_labels_outside_1_to_3(region5, bad):
+    block = ground_state(region5, (5, 5, 5), (1, 2, 3))
+    for k in (0, 7, region5.num_vertices - 1):
+        labels = block.labels[:k] + (bad,) + block.labels[k + 1 :]
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+            Partition(region5, block.targets, labels)
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+            block.with_labels(labels)
+
+
 def test_relabel_reflect_rotate_preserve_validity(pool5):
     for p in pool5[:20]:
         assert in_omega(p.relabeled({1: 2, 2: 3, 3: 1}).relabeled({2: 1, 3: 2, 1: 3}))
