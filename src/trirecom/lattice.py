@@ -138,6 +138,10 @@ class TriRegion:
             v: tuple(0 if u is OUTSIDE else self.bit_of[u] for u in slots)
             for v, slots in self._slots.items()
         }
+        # the bitboard of v's neighbors
+        self._neighbor_mask: dict[Vertex, int] = {
+            v: sum(bits) for v, bits in self._slot_bits.items()
+        }
         full = self.mask_of(self.vertices)
         self.full_mask = full
         self.boundary_mask = self.mask_of(self.boundary)

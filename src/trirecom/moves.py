@@ -14,9 +14,10 @@ test's answer on it: the
 untouched district is unchanged and the local test decides the two changed
 ones exactly, so a failing flip stores False.  apply_recom on a valid parent
 flood-fills only the two districts the step changes, since it has just
-checked that the third is unchanged.  A flip walk therefore pays
-whole-district flood fills only until its first accepted step is classified,
-and a tower from a valid state pays none.
+checked that the third is unchanged.  A flip walk from a state of unknown
+validity therefore pays whole-district flood fills only until its first
+accepted step is classified; a walk from a block state (partition.ground_state
+knows it valid) and a tower from a valid state pay none.
 """
 
 from __future__ import annotations
@@ -72,16 +73,28 @@ def neighborhood_flip_test(p: Partition, v: Vertex, to: int) -> bool:
     of the slot cycle, and its target-district slots form one nonempty arc.
     apply_flip stores this test's answer as the validity of a flip from a
     valid state, and the route builder reads it for every flip it emits."""
-    frm = p.district(v)
+    region = p.region
+    frm = p.labels[region.index_of[v]]
     if frm == to:
         return False
     masks = p.masks()
     own = masks[frm - 1]
     if not own & (own - 1):  # v is its district's only vertex
         return False
-    slot_pattern = p.region.slot_pattern
-    target = slot_pattern(masks[to - 1], v)
-    return bool(target) and ONE_ARC[target] and ONE_ARC[slot_pattern(own, v)]
+    m = masks[to - 1]
+    if not m & region._neighbor_mask[v]:  # no neighbor in district `to`
+        return False
+    # both slot patterns (lattice.TriRegion.slot_pattern) from one read of
+    # v's six slot bits
+    s0, s1, s2, s3, s4, s5 = region._slot_bits[v]
+    target = (
+        (m & s0 and 1) | (m & s1 and 2) | (m & s2 and 4)
+        | (m & s3 and 8) | (m & s4 and 16) | (m & s5 and 32)
+    )
+    return ONE_ARC[target] and ONE_ARC[
+        (own & s0 and 1) | (own & s1 and 2) | (own & s2 and 4)
+        | (own & s3 and 8) | (own & s4 and 16) | (own & s5 and 32)
+    ]
 
 
 def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:
@@ -91,26 +104,39 @@ def apply_flip(p: Partition, v: Vertex, to: int) -> Partition:
     the move changes nothing."""
     region = p.region
     i = region.index_of[v]
-    labels = p.labels
+    labels = list(p.labels)
     frm = labels[i]
+    labels[i] = to
     bit = region.bits[i]
-    masks = [0, *p.masks()]
-    masks[frm] ^= bit
-    masks[to] |= bit
+    m1, m2, m3 = p.masks()
+    if frm == 1:
+        m1 ^= bit
+    elif frm == 2:
+        m2 ^= bit
+    else:
+        m3 ^= bit
+    if to == 1:
+        m1 |= bit
+    elif to == 2:
+        m2 |= bit
+    else:
+        m3 |= bit
     valid = None
     if p._valid:
         valid = frm == to or neighborhood_flip_test(p, v, to)
     return Partition._derived(
         region,
         p.targets,
-        labels[:i] + (to,) + labels[i + 1 :],
-        (masks[1], masks[2], masks[3]),
+        tuple(labels),
+        (m1, m2, m3),
         valid,
     )
 
 
 def untouched_of_flip(frm: int, to: int) -> int:
-    return ({1, 2, 3} - {frm, to}).pop()
+    """The district a flip from district frm to district to leaves alone
+    (frm != to)."""
+    return 6 - frm - to
 
 
 def apply_recom(p: Partition, step: RecomStep) -> Partition:

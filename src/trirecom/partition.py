@@ -15,7 +15,8 @@ and target-sum checks the parent passed and takes the masks, validity and
 district sets the caller knows: relabeled (its translate table and
 target/mask/set picker are cached per permutation), permuted, with_moves,
 oracle._partition, moves.apply_flip and the final state of
-pathfinder.verify_trace.  with_labels goes through the checking constructor.
+pathfinder.verify_trace.  with_moves checks the district of each move
+itself, and with_labels goes through the checking constructor.
 with_moves and relabeled carry the parent's cached masks and district sets,
 updated by the moves or the permutation, and apply_flip its masks, updated
 by the flipped bit.  The arc test (at_most_one_arc) reads a vertex's 6-bit
@@ -33,7 +34,9 @@ moves.apply_flip sets it from the local flip test on a valid parent, where
 that test is exact, moves.apply_recom from flood fills of the two districts
 a step changes on a valid parent, and enumeration (oracle._partition) and
 verify_trace's final state set it to True, every district having passed the
-flood fill.  The constructor, with_moves and with_labels leave it unknown.
+flood fill.  ground_state sets it to True as well: each block is a run of
+at least n vertices in column order, connected and enclosing nothing (see
+ground_state).  The constructor, with_moves and with_labels leave it unknown.
 classify caches the balance class, is its only writer, reads validity
 through is_valid and so adds only the size window on a partition that
 carries it; derived partitions start unclassified.  moves.flip_valid answers
@@ -240,14 +243,16 @@ class Partition:
         return (m1.bit_count(), m2.bit_count(), m3.bit_count())
 
     def with_moves(self, moves: Iterable[tuple[Vertex, int]]) -> "Partition":
-        """New partition with the given (vertex, new district) reassignments.
-        Cached masks and district sets are carried over, updated move by
-        move."""
+        """New partition with the given (vertex, new district) reassignments;
+        a district outside 1..3 raises ValueError.  Cached masks and district
+        sets are carried over, updated move by move."""
         region = self.region
         labels = list(self.labels)
         masks = None if self._masks is None else [0, *self._masks]
         sets = None if self._districts is None else [None, *self._districts]
         for v, d in moves:
+            if d not in _LABELS:
+                raise ValueError("labels must lie in 1..3")
             i = region.index_of[v]
             if masks is not None:
                 bit = region.bits[i]
@@ -329,7 +334,13 @@ def is_valid(p: Partition) -> bool:
 
 def in_window(p: Partition) -> bool:
     """Every district size within one of its target (validity not checked)."""
-    return all(abs(sz - k) <= 1 for sz, k in zip(p.sizes(), p.targets))
+    m1, m2, m3 = p.masks()
+    k1, k2, k3 = p.targets
+    return (
+        -1 <= m1.bit_count() - k1 <= 1
+        and -1 <= m2.bit_count() - k2 <= 1
+        and -1 <= m3.bit_count() - k3 <= 1
+    )
 
 
 def classify(p: Partition) -> BalanceClass:
@@ -339,9 +350,13 @@ def classify(p: Partition) -> BalanceClass:
     derived from p do not inherit.  Validity is read through is_valid, so
     only the size window is new work on a partition that carries it."""
     if p._class is None:
-        if not in_window(p) or not is_valid(p):
+        s1, s2, s3 = p.sizes()
+        k1, k2, k3 = p.targets
+        if not (
+            -1 <= s1 - k1 <= 1 and -1 <= s2 - k2 <= 1 and -1 <= s3 - k3 <= 1
+        ) or not is_valid(p):
             p._class = BalanceClass.OUTSIDE_OMEGA
-        elif p.sizes() == p.targets:
+        elif s1 == k1 and s2 == k2 and s3 == k3:
             p._class = BalanceClass.BALANCED
         else:
             p._class = BalanceClass.NEARLY_BALANCED
@@ -454,5 +469,14 @@ def ground_state(region: TriRegion, targets: Targets, perm: tuple[int, int, int]
     labels = []
     for d in perm:
         labels.extend([d] * targets[d - 1])
-    return Partition(region, targets, tuple(labels))
+    p = Partition(region, targets, tuple(labels))
+    # Valid by construction.  A block is a run of at least n consecutive
+    # vertices in column order: where it leaves column c at rows r..c, the
+    # n or more vertices it holds reach row r of column c + 1, next to
+    # (c, r), so it is connected.  Its complement is the run before it,
+    # which starts at corner (1, 1), and the run after it, which ends at
+    # corner (n, n); any such run is connected, so the block encloses
+    # nothing.
+    p._valid = True
+    return p
 

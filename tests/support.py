@@ -17,13 +17,13 @@ from trirecom import (
     Partition,
     apply_flip,
     build_region,
+    flip_valid,
     ground_state,
     in_omega,
 )
 from trirecom.lattice import ordering_index
 from trirecom.moves import RecomStep, neighborhood_flip_test, untouched_of_flip
 from trirecom.oracle import _anchored_masks
-from trirecom.toolkit import _checked_flip
 from trirecom.partition import (
     BalanceClass,
     TricolorTriangle,
@@ -273,17 +273,20 @@ def random_omega_state(region, targets, rng: random.Random, attempts: int = 300)
 
 def flip_walk(p: Partition, rng: random.Random, attempts: int):
     """`attempts` random single-vertex flip proposals from p, taking each
-    valid flip that stays inside the window.  A flip is applied once and
-    checked by the validity it carries (toolkit._checked_flip)."""
+    valid flip that stays inside the window.  A proposal is checked by
+    flip_valid before it is applied, so a refused one copies no labels.  A
+    block state is known valid and apply_flip carries validity, so a walk
+    from one runs only the local flip test; from a state of unknown
+    validity it recomputes both changed districts until its first accepted
+    step."""
     verts = p.region.vertices
     for _ in range(attempts):
         v = verts[rng.randrange(len(verts))]
         to = rng.randrange(1, 4)
-        if to == p.district(v):
-            continue
-        q = _checked_flip(p, v, to)
-        if q is not None and in_omega(q):
-            p = q
+        if to != p.district(v) and flip_valid(p, v, to):
+            q = apply_flip(p, v, to)
+            if in_omega(q):
+                p = q
     return p
 
 

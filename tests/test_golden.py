@@ -24,7 +24,7 @@ from trirecom import Partition, PathError, Trace, build_region, path, verify_tra
 from trirecom.moves import RecomStep, apply_recom
 from trirecom.partition import in_omega, is_valid
 
-from support import random_omega_state, unclassified, verify_trace_reference
+from support import random_omega_state, verify_trace_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
@@ -258,12 +258,12 @@ def test_verify_trace_raises_on_a_source_label_or_untouched_outside_1_to_3(
 ):
     # the step labels are covered by the "outside" mutations above
     sigma, trace = corpus_routes[0]
-    v = sigma.region.vertices[0]
     for bad in (0, 4, -1, -2):
-        # with_moves skips the constructor's label check, so the source
-        # reaches verify_trace's own; a fresh copy carries no masks or
-        # district sets for the move to index by label
-        source = unclassified(sigma).with_moves([(v, bad)])
+        # _derived skips the constructor's label check, so the source
+        # reaches verify_trace's own
+        source = Partition._derived(
+            sigma.region, sigma.targets, (bad, *sigma.labels[1:])
+        )
         with pytest.raises(ValueError, match="1..3"):
             verify_trace(source, Trace(source.labels, trace.steps))
         steps = [RecomStep(bad, trace.steps[0].after), *trace.steps[1:]]

@@ -167,12 +167,15 @@ def test_partition_requires_matching_targets(region5):
 @pytest.mark.parametrize("bad", [0, 4, -1])
 def test_partition_and_with_labels_refuse_labels_outside_1_to_3(region5, bad):
     block = ground_state(region5, (5, 5, 5), (1, 2, 3))
+    block.masks()  # with_moves would index these cached masks by label
     for k in (0, 7, region5.num_vertices - 1):
         labels = block.labels[:k] + (bad,) + block.labels[k + 1 :]
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
             Partition(region5, block.targets, labels)
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
             block.with_labels(labels)
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+            block.with_moves([(region5.vertices[k], bad)])
 
 
 def test_relabel_reflect_rotate_preserve_validity(pool5):
@@ -301,6 +304,24 @@ def test_ground_states_are_blocks(region5):
             if d != boundaries[-1]:
                 boundaries.append(d)
         assert tuple(boundaries) == perm
+
+
+def test_every_ground_state_is_known_valid():
+    # every block state for n = 5..10: each target triple with all targets
+    # >= n, in each of the six district orders
+    count = 0
+    for n in range(5, 11):
+        region = build_region(n)
+        total = region.num_vertices
+        for k1 in range(n, total - 2 * n + 1):
+            for k2 in range(n, total - k1 - n + 1):
+                targets = (k1, k2, total - k1 - k2)
+                for perm in itertools.permutations((1, 2, 3)):
+                    p = ground_state(region, targets, perm)
+                    assert p._valid is True
+                    assert is_valid(unclassified(p)), (n, targets, perm)
+                    count += 1
+    assert count == 4074
 
 
 def test_ground_state_rejects_small_targets():
