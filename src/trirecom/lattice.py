@@ -5,15 +5,16 @@ Vertices are (col, row) pairs with 1 <= row <= col <= n.  Column 1 is the
 single leftmost vertex; column n is the vertical right edge.  Row 1 runs along
 the top edge and row == col along the bottom edge.
 
-Vertex sets also have a bitboard form: vertex (col, row) is bit
-col * width + row of a Python int, with width = n + 2, so the six lattice
-directions are the constant shifts +-1, +-width and +-(width + 1) (see
-TriRegion.bit_of).  Reading a vertex's six neighbor slots out of a bitboard
-gives a 6-bit slot pattern (bit i for slot i, see TriRegion.slot_pattern);
-ONE_ARC tells whether the set slots form one contiguous arc of the cycle.
-The region keeps the bitboards of all its vertices (full_mask), of its
-boundary (boundary_mask) and of each column prefix (cols_leq_mask), and
-neighbors_mask ORs the six shifts of a bitboard.  Bit order is column-major,
+Vertex sets are bitboards: vertex (col, row) is bit col * width + row of a
+Python int, with width = n + 2, so the six lattice directions are the
+constant shifts +-1, +-width and +-(width + 1) (see TriRegion.bit_of).
+Reading a vertex's six neighbor slots out of a bitboard gives a 6-bit slot
+pattern (bit i for slot i, see TriRegion.slot_pattern); ONE_ARC tells
+whether the set slots form one contiguous arc of the cycle.  The region
+keeps the bitboards of all its vertices (full_mask), of its boundary
+(boundary_mask) and of each column prefix (cols_leq_mask); neighbors_mask
+ORs the six shifts of a bitboard, and component and components grow
+connected components by repeating those shifts.  Bit order is column-major,
 the same as ordering_index order, so walking a bitboard lowest bit first
 visits vertices in ascending ordering index.  The reflection and rotations
 are cached as index permutations per (reflect, turns) (TriRegion.frame),
@@ -93,19 +94,7 @@ class TriRegion:
             v: tuple(u for u in self._slots[v] if u is not OUTSIDE)
             for v in self.vertices
         }
-        self.boundary = frozenset(
-            v for v in self.vertices if OUTSIDE in self._slots[v]
-        )
         self.corners: tuple[Vertex, Vertex, Vertex] = ((1, 1), (n, 1), (n, n))
-        self._columns: tuple[frozenset[Vertex], ...] = tuple(
-            frozenset((col, row) for row in range(1, col + 1))
-            for col in range(1, n + 1)
-        )
-        # _columns_leq[i] is columns 1..i
-        prefix = [frozenset()]
-        for column in self._columns:
-            prefix.append(prefix[-1] | column)
-        self._columns_leq: tuple[frozenset[Vertex], ...] = tuple(prefix)
         top = [(col, 1) for col in range(1, n + 1)]
         right = [(n, row) for row in range(2, n + 1)]
         bottom = [(col, col) for col in range(n - 1, 1, -1)]
@@ -144,7 +133,9 @@ class TriRegion:
         }
         full = self.mask_of(self.vertices)
         self.full_mask = full
-        self.boundary_mask = self.mask_of(self.boundary)
+        self.boundary_mask = self.mask_of(
+            v for v, slots in self._slots.items() if OUTSIDE in slots
+        )
         # column i's bits lie below bit (i + 1) * width
         self._cols_leq_masks: tuple[int, ...] = tuple(
             full & ((1 << ((i + 1) * self.width)) - 1) for i in range(n + 1)
@@ -195,6 +186,35 @@ class TriRegion:
         return (
             m << 1 | m >> 1 | m << w | m >> w | m << w1 | m >> w1
         ) & self.full_mask
+
+    def component(self, m: int, seed_bit: int) -> int:
+        """The connected component of bitboard m holding seed_bit, a bit of
+        m, by a shift-and-mask fill."""
+        w = self.width
+        w1 = w + 1
+        reach = seed_bit
+        while True:
+            grown = (
+                reach
+                | reach << 1
+                | reach >> 1
+                | reach << w
+                | reach >> w
+                | reach << w1
+                | reach >> w1
+            ) & m
+            if grown == reach:
+                return reach
+            reach = grown
+
+    def components(self, m: int):
+        """Yield the connected components of bitboard m, each as a
+        bitboard, lowest bit first: in ascending order of their least
+        ordering index."""
+        while m:
+            comp = self.component(m, m & -m)
+            yield comp
+            m ^= comp
 
     def vertices_of(self, m: int) -> list[Vertex]:
         """The vertices of bitboard m in ascending ordering index."""
@@ -253,20 +273,12 @@ class TriRegion:
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         return v in self._neighbors[u]
 
-    def column(self, i: int) -> frozenset[Vertex]:
-        """Vertices of the i-th column, 1-based."""
-        return self._columns[i - 1]
-
-    def columns_leq(self, i: int) -> frozenset[Vertex]:
-        """Vertices of columns 1..i, for i >= 0."""
-        return self._columns_leq[min(i, self.n)]
-
     def cols_leq_mask(self, i: int) -> int:
         """The bitboard of columns 1..i, for i >= 0."""
         return self._cols_leq_masks[min(i, self.n)]
 
     def is_boundary(self, v: Vertex) -> bool:
-        return v in self.boundary
+        return bool(self.bit_of[v] & self.boundary_mask)
 
     def line_step(self, v: Vertex, d: int) -> Optional[Vertex]:
         """Step one unit from v in direction d (slot index); OUTSIDE when the

@@ -1,6 +1,6 @@
 """Partition representation and structural predicates: simple connectivity,
-balance classification, connected components, district neighborhoods,
-tricolor triangles, rebalance-case dispatch, and ground-state construction.
+balance classification, district neighborhoods, tricolor triangles,
+rebalance-case dispatch, and ground-state construction.
 
 Validity runs on bitboards: each Partition caches one int mask per district,
 with vertex (col, row) at bit col * (n + 2) + row, so a lattice step is a
@@ -9,21 +9,22 @@ an Euler-characteristic count.  One private loop (_label_masks) turns a
 label array into the three masks, for Partition.masks and for
 pathfinder.verify_trace, which checks traces on bare masks.
 
-States derived from an already constructed partition go through one private
-constructor, Partition._derived, which skips the label-length, label-range
-and target-sum checks the parent passed and takes the masks, validity and
-district sets the caller knows: relabeled (its translate table and
-target/mask/set picker are cached per permutation), permuted, with_moves,
-oracle._partition, moves.apply_flip and the final state of
+The district masks are the only vertex sets a Partition holds; a caller
+that needs a district, a component or a cut-off arm works on them (see
+lattice.TriRegion.component).  States derived from an already constructed
+partition go through one private constructor, Partition._derived, which
+skips the label-length, label-range and target-sum checks the parent passed
+and takes the masks and validity the caller knows: relabeled (its translate
+table and target/mask picker are cached per permutation), permuted,
+with_moves, oracle._partition, moves.apply_flip and the final state of
 pathfinder.verify_trace.  with_moves checks the district of each move
-itself, and with_labels goes through the checking constructor.
-with_moves and relabeled carry the parent's cached masks and district sets,
-updated by the moves or the permutation, and apply_flip its masks, updated
-by the flipped bit.  The arc test (at_most_one_arc) reads a vertex's 6-bit
-slot pattern out of one district mask, tricolor faces come from shifted ANDs
-of the three masks, and district adjacency and the rebalance-case dispatch
-AND one mask with the neighbor shifts of another
-(lattice.TriRegion.neighbors_mask).
+itself, and with_labels goes through the checking constructor.  with_moves
+and relabeled carry the parent's cached masks, updated by the moves or the
+permutation, and apply_flip its masks, updated by the flipped bit.  The arc
+test (at_most_one_arc) reads a vertex's 6-bit slot pattern out of one
+district mask, tricolor faces come from shifted ANDs of the three masks,
+and district adjacency and the rebalance-case dispatch AND one mask with
+the neighbor shifts of another (lattice.TriRegion.neighbors_mask).
 
 A Partition is immutable, so two answers are cached on it.  Its validity
 (_valid: all three districts nonempty and simply connected, None while
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -63,44 +63,6 @@ class BalanceClass(enum.Enum):
     BALANCED = "balanced"
     NEARLY_BALANCED = "nearly_balanced"
     OUTSIDE_OMEGA = "outside_omega"
-
-
-def connected_components(
-    region: TriRegion, vset: frozenset[Vertex] | set[Vertex]
-) -> list[frozenset[Vertex]]:
-    """Connected components of the subgraph induced by vset."""
-    remaining = set(vset)
-    comps = []
-    while remaining:
-        root = next(iter(remaining))
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in region.neighbors(v):
-                if u in remaining and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(frozenset(seen))
-        remaining -= seen
-    return comps
-
-
-def component_of(
-    region: TriRegion, vset: Iterable[Vertex], v: Vertex
-) -> frozenset[Vertex]:
-    """The connected component of v inside vset (v must be in vset)."""
-    vset = set(vset)
-    assert v in vset
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        for u in region.neighbors(w):
-            if u in vset and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return frozenset(seen)
 
 
 def _simply_connected_mask(m: int, w: int) -> bool:
@@ -152,8 +114,8 @@ def _label_masks(bits: tuple[int, ...], labels) -> tuple[int, int, int]:
 
 
 #: For each relabeling, as (perm[1], perm[2], perm[3]): the translate table
-#: of its labels and the picker that moves targets, masks and district sets
-#: to their new districts (district perm[d] takes what district d held).
+#: of its labels and the picker that moves targets and masks to their new
+#: districts (district perm[d] takes what district d held).
 _RELABELINGS: dict[tuple[int, int, int], tuple] = {
     image: (
         bytes.maketrans(b"\1\2\3", bytes(image)),
@@ -168,8 +130,7 @@ class Partition:
     targets.  Immutable; mutating operations return new values."""
 
     __slots__ = (
-        "region", "targets", "labels", "_districts", "_masks", "_hash",
-        "_valid", "_class",
+        "region", "targets", "labels", "_masks", "_hash", "_valid", "_class",
     )
 
     def __init__(self, region: TriRegion, targets: Targets, labels: tuple[int, ...]):
@@ -182,7 +143,6 @@ class Partition:
         self.region = region
         self.targets = tuple(targets)
         self.labels = tuple(labels)
-        self._districts: Optional[tuple[frozenset, ...]] = None
         self._masks: Optional[tuple[int, int, int]] = None
         self._hash: Optional[int] = None
         # is_valid's answer, None until known: written by is_valid, and by a
@@ -199,18 +159,15 @@ class Partition:
         labels: tuple[int, ...],
         masks: Optional[tuple[int, int, int]] = None,
         valid: Optional[bool] = None,
-        districts: Optional[tuple[frozenset, ...]] = None,
     ) -> "Partition":
         """A state derived from an already constructed partition: the label
         length, the label range and the target sum were checked on the
         parent, so they are not checked again, and the caller passes the
-        masks, validity and district sets it already knows (see the module
-        doc)."""
+        masks and validity it already knows (see the module doc)."""
         q = cls.__new__(cls)
         q.region = region
         q.targets = targets
         q.labels = labels
-        q._districts = districts
         q._masks = masks
         q._hash = None
         q._valid = valid
@@ -219,18 +176,6 @@ class Partition:
 
     def district(self, v: Vertex) -> int:
         return self.labels[self.region.index_of[v]]
-
-    def districts(self) -> tuple[frozenset[Vertex], ...]:
-        """(P1, P2, P3) as frozensets."""
-        if self._districts is None:
-            sets: tuple[set, set, set] = (set(), set(), set())
-            for v, lab in zip(self.region.vertices, self.labels):
-                sets[lab - 1].add(v)
-            self._districts = tuple(frozenset(s) for s in sets)
-        return self._districts
-
-    def district_set(self, d: int) -> frozenset[Vertex]:
-        return self.districts()[d - 1]
 
     def masks(self) -> tuple[int, int, int]:
         """(P1, P2, P3) as bitboards (see lattice.TriRegion.bit_of)."""
@@ -244,12 +189,11 @@ class Partition:
 
     def with_moves(self, moves: Iterable[tuple[Vertex, int]]) -> "Partition":
         """New partition with the given (vertex, new district) reassignments;
-        a district outside 1..3 raises ValueError.  Cached masks and district
-        sets are carried over, updated move by move."""
+        a district outside 1..3 raises ValueError.  Cached masks are carried
+        over, updated move by move."""
         region = self.region
         labels = list(self.labels)
         masks = None if self._masks is None else [0, *self._masks]
-        sets = None if self._districts is None else [None, *self._districts]
         for v, d in moves:
             if d not in _LABELS:
                 raise ValueError("labels must lie in 1..3")
@@ -258,17 +202,12 @@ class Partition:
                 bit = region.bits[i]
                 masks[labels[i]] ^= bit
                 masks[d] |= bit
-            if sets is not None and d != labels[i]:
-                sets[labels[i]] = sets[labels[i]] - {v}
-                sets[d] = sets[d] | {v}
             labels[i] = d
         return Partition._derived(
             region,
             self.targets,
             tuple(labels),
             None if masks is None else (masks[1], masks[2], masks[3]),
-            None,
-            None if sets is None else (sets[1], sets[2], sets[3]),
         )
 
     def with_labels(self, labels: tuple[int, ...]) -> "Partition":
@@ -277,9 +216,9 @@ class Partition:
         return Partition(self.region, self.targets, labels)
 
     def relabeled(self, perm: dict[int, int]) -> "Partition":
-        """Apply a district relabeling: old label d becomes perm[d].  Targets,
-        cached masks and cached district sets move with their districts, and
-        known validity is kept."""
+        """Apply a district relabeling: old label d becomes perm[d].  Targets
+        and cached masks move with their districts, and known validity is
+        kept."""
         table, pick = _RELABELINGS[perm[1], perm[2], perm[3]]
         return Partition._derived(
             self.region,
@@ -287,7 +226,6 @@ class Partition:
             tuple(bytes(self.labels).translate(table)),
             None if self._masks is None else pick(self._masks),
             self._valid,
-            None if self._districts is None else pick(self._districts),
         )
 
     def permuted(self, source: tuple[int, ...]) -> "Partition":

@@ -37,13 +37,20 @@ the branch is raised instead.  Sub-cases that no sampled state reached were
 deleted; their call sites raise such a PathError naming the deleted sub-case
 (the README's case map lists them).
 
-The builder's per-repair bookkeeping runs on the district bitboards
-(Partition.masks): the removable-vertex scan walks the exposed vertices of a
-candidate mask lowest bit first (toolkit.shrink_flips), the first open
-column is the column of the lowest bit outside district 1, the frozen
-vertices are one mask, and a frame's reflection and rotations come from the
-region's cached index permutations (TriRegion.frame), which carry the label
-arrays, the vertex map and the frozen mask into the frame.
+The builder's bookkeeping runs on the district bitboards (Partition.masks),
+the only vertex sets the engine holds: the removable-vertex scan walks the
+exposed vertices of a candidate mask lowest bit first
+(toolkit.shrink_flips), the first open column is the column of the lowest
+bit outside district 1, the frozen vertices are one mask, and a frame's
+reflection and rotations come from the region's cached index permutations
+(TriRegion.frame), which carry the label arrays, the vertex map and the
+frozen mask into the frame.  The case analysis asks its questions of masks
+as well: a district less a cut vertex splits into components
+(TriRegion.components, lowest bit first, so the first is the one of least
+ordering index), an arm is the component of a seed vertex
+(TriRegion.component), and a component lies inside a cycle when it meets
+the cycle's interior mask (toolkit.vertices_enclosed); a component that
+avoids the cycle lies wholly on one side of it.
 """
 
 from __future__ import annotations
@@ -73,8 +80,6 @@ from .partition import (
     at_most_one_arc,
     case_dispatch,
     classify,
-    component_of,
-    connected_components,
     districts_adjacent,
     ground_state,
     in_omega,
@@ -314,6 +319,23 @@ def _beyond(p: Partition, i: int) -> int:
     return p.masks()[0] & ~p.region.cols_leq_mask(i)
 
 
+def _without(p: Partition, d: int, *cut: Vertex) -> int:
+    """The bitboard of district d without the vertices `cut`."""
+    return p.masks()[d - 1] & ~p.region.mask_of(cut)
+
+
+def _arm(p: Partition, d: int, cut: Vertex, seed: Vertex) -> int:
+    """The bitboard of the component holding `seed` of district d without
+    the vertex `cut`."""
+    region = p.region
+    return region.component(_without(p, d, cut), region.bit_of[seed])
+
+
+def _away(p: Partition, m: int) -> list[int]:
+    """The components of bitboard m that miss the anchor corner (1, 1)."""
+    return [s for s in p.region.components(m) if not s & p.region.bit_of[(1, 1)]]
+
+
 def _release_or_pick(b: _Builder, i: int, note: str):
     """Flip a beyond-column district-1 vertex straight into district 3 when
     possible (returns None, leaving the partition balanced); otherwise return
@@ -343,11 +365,12 @@ def _p1_distances(p: Partition) -> dict[Vertex, int]:
     root = (1, 1)
     dist = {root: 0}
     queue = deque([root])
-    s1 = p.district_set(1)
+    m1 = p.masks()[0]
+    bit_of = p.region.bit_of
     while queue:
         w = queue.popleft()
         for u in p.region.neighbors(w):
-            if u in s1 and u not in dist:
+            if bit_of[u] & m1 and u not in dist:
                 dist[u] = dist[w] + 1
                 queue.append(u)
     return dist
@@ -367,11 +390,9 @@ def _pocket_vertex(p: Partition, x: Vertex, j: int, note: str) -> Vertex:
     found = None
     for bi in range(len(blocks)):
         for bj in range(bi + 1, len(blocks)):
-            q = path_within(
-                region, p.district_set(3), blocks[bi][0], blocks[bj][0]
-            )
+            q = path_within(region, p.masks()[2], blocks[bi][0], blocks[bj][0])
             interior = vertices_enclosed(region, [x] + q)
-            pocket = {v for v in interior if p.district(v) == j}
+            pocket = interior & p.masks()[j - 1]
             if pocket:
                 found = (interior, pocket)
                 break
@@ -380,7 +401,7 @@ def _pocket_vertex(p: Partition, x: Vertex, j: int, note: str) -> Vertex:
     if found is None:
         raise PathError(note, "no enclosed pocket")
     interior, pocket = found
-    if any(p.district(v) == ell for v in interior):
+    if interior & p.masks()[ell - 1]:
         raise PathError(note, "third district enters the pocket")
     v, _ = find_shrink_vertex(p, pocket, (3,))
     return v
@@ -405,7 +426,7 @@ def _p1_pocket(b: _Builder, i: int, x: Vertex) -> None:
 
 
 def _p1_pocket_bdry(b: _Builder, i: int, x: Vertex) -> None:
-    if not (b.p.district_set(2) & b.p.region.boundary):
+    if not b.p.masks()[1] & b.p.region.boundary_mask:
         raise PathError("enclosed-pocket", "district 2 misses the boundary")
     _p1_pocket(b, i, x)
 
@@ -580,11 +601,10 @@ def _case_a_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
         b.flip(a, 3, note)
         return
     w_set = set(comp)
-    rest = p.district_set(1) - w_set
-    comps = connected_components(region, rest)
+    comps = list(region.components(_without(p, 1, *comp)))
     if len(comps) >= 2:
-        away = [s for s in comps if (1, 1) not in s]
-        s = min(away, key=lambda s: min(ordering_index(t) for t in s))
+        # the first component without the anchor corner
+        s = next(s for s in comps if not s & region.bit_of[(1, 1)])
         vp, to = find_shrink_vertex(p, s, (3, 2))
         if to == 3:
             b.flip(vp, 3, note)
@@ -645,20 +665,18 @@ def _case_a_invalid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
             return
         if p.district(f) != 1 or p.district(h) != 1:
             raise PathError("boundary-pair/d2-discon", "forced labels absent")
-        p2_minus_c = p.district_set(2) - {c}
-        if a in p2_minus_c and g in p2_minus_c and a in component_of(
-            region, p2_minus_c, g
-        ):
-            s1 = component_of(region, p.district_set(1) - {d}, h)
-            s2 = component_of(region, p.district_set(2) - {a}, c)
+        # a and g lie in district 2, and neither is c
+        if _arm(p, 2, c, g) & region.bit_of[a]:
+            s1 = _arm(p, 1, d, h)
+            s2 = _arm(p, 2, a, c)
         else:
-            s1 = component_of(region, p.district_set(1) - {d}, f)
-            s2 = component_of(region, p.district_set(2) - {a}, e)
+            s1 = _arm(p, 1, d, f)
+            s2 = _arm(p, 2, a, e)
     else:
         if p.district(g) != 3 or p.district(f) != 1 or p.district(h) != 1:
             raise PathError("boundary-pair/d1-discon", "forced labels absent")
-        s1 = component_of(region, p.district_set(1) - {d}, f)
-        s2 = component_of(region, p.district_set(2) - {a}, e)
+        s1 = _arm(p, 1, d, f)
+        s2 = _arm(p, 2, a, e)
     q, steps, outcome = unwind(b.p, s1, s2, 1, 2, 3, note="unwind")
     b.extend(steps)
     if outcome == "balanced":
@@ -735,7 +753,7 @@ def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
         if p.district(c) != 1:
             raise PathError(note, "corner neighbor not in district 1")
         b.flip(v, 2, note)
-        vp, to = find_shrink_vertex(b.p, b.p.district_set(2) - {v}, (3, 1))
+        vp, to = find_shrink_vertex(b.p, _without(b.p, 2, v), (3, 1))
         if to == 3:
             b.flip(vp, 3, note)
             return
@@ -753,8 +771,7 @@ def _interior_valid_edge(b: _Builder, i: int, a: Vertex, v: Vertex) -> None:
     if neighborhood_flip_test(p, c, 3):
         b.flip(c, 3, note)
         return
-    comps = connected_components(region, p.district_set(1) - {v, c})
-    away = [s for s in comps if (1, 1) not in s]
+    away = _away(p, _without(p, 1, v, c))
     if len(away) != 1:
         raise PathError(note, f"expected one cut-off component, got {len(away)}")
     vp, to = find_shrink_vertex(p, away[0], (3, 2))
@@ -820,19 +837,18 @@ def _split_arms(p: Partition, a: Vertex, c: Vertex, e: Vertex):
     the anchor (same_side True) S2 is the district-2 component across the
     c-e-a cycle; otherwise S2 is None and the caller picks it."""
     region = p.region
-    p1 = p.district_set(1)
-    comps = connected_components(region, p1 - {e})
-    comp_c = next(s for s in comps if c in s)
-    if (1, 1) in comp_c:
-        away = [s for s in comps if s is not comp_c]
+    comps = list(region.components(_without(p, 1, e)))
+    comp_c = next(s for s in comps if s & region.bit_of[c])
+    if comp_c & region.bit_of[(1, 1)]:
+        away = [s for s in comps if s != comp_c]
         if len(away) != 1:
             raise PathError("interior-pair", "cut components not binary")
         s1 = away[0]
-        cyc = path_within(region, p1, c, e) + [a]
+        cyc = path_within(region, p.masks()[0], c, e) + [a]
         interior = vertices_enclosed(region, cyc)
-        s1_inside = next(iter(s1)) in interior
-        for s in connected_components(region, p.district_set(2) - {a}):
-            if (next(iter(s)) in interior) != s1_inside:
+        s1_inside = bool(s1 & interior)
+        for s in region.components(_without(p, 2, a)):
+            if bool(s & interior) != s1_inside:
                 return s1, s, True
         raise PathError("interior-pair", "no opposite-side district-2 arm")
     return comp_c, None, False
@@ -848,7 +864,7 @@ def _interior_split(
     region = p.region
     if depth > 4:
         raise PathError(note, "split recursion exceeded its bound")
-    if p.district_set(2) & region.boundary:
+    if p.masks()[1] & region.boundary_mask:
         raise PathError(note, "district 2 touches the boundary")
     if c is None:
         cands = [
@@ -861,7 +877,7 @@ def _interior_split(
     d = blocks["D"][-1]
     e = blocks["E"][0]
     f = blocks["F"][0]
-    if e in region.columns_leq(i):
+    if region.bit_of[e] & region.cols_leq_mask(i):
         _interior_split_left(b, i, a, bb, c, e)
         return
     if region.is_boundary(e):
@@ -886,20 +902,24 @@ def _interior_split_left(
     if not at_most_one_arc(p, c, 3):
         _p1_pocket(b, i, c)
         return
-    cyc = path_within(region, p.district_set(1), c, e) + [a]
-    comps = connected_components(region, p.district_set(1) - {c})
-    on_cycle = set(cyc) - {c}
-    away = [s for s in comps if not (s & on_cycle)]
+    cyc = path_within(region, p.masks()[0], c, e) + [a]
+    on_cycle = region.mask_of(cyc)
+    away = [
+        s for s in region.components(_without(p, 1, c)) if not s & on_cycle
+    ]
     if len(away) != 1:
         raise PathError(note, "cut components of c not binary")
     s1 = away[0]
     interior = vertices_enclosed(region, cyc)
-    s1_inside = next(iter(s1)) in interior
-    s2 = None
-    for s in connected_components(region, p.district_set(2) - {a}):
-        if (next(iter(s)) in interior) != s1_inside:
-            s2 = s
-            break
+    s1_inside = bool(s1 & interior)
+    s2 = next(
+        (
+            s
+            for s in region.components(_without(p, 2, a))
+            if bool(s & interior) != s1_inside
+        ),
+        None,
+    )
     if s2 is None:
         raise PathError(note, "no opposite-side district-2 arm")
     q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
@@ -928,17 +948,16 @@ def _interior_split_edge(
         return
     if ds != {1}:
         raise PathError(note, "boundary flanks of e not in district 1")
-    comps = connected_components(region, p.district_set(1) - {e})
-    away = [s for s in comps if (1, 1) not in s]
+    away = _away(p, _without(p, 1, e))
     if len(away) != 1:
         raise PathError(note, "cut components of e not binary")
     s1 = away[0]
     h = g1 if region.adjacent(g1, d) else g2
     g = g2 if h == g1 else g1
-    if g in s1:
-        s2 = component_of(region, p.district_set(2) - {a}, d)
-    elif h in s1:
-        s2 = component_of(region, p.district_set(2) - {a}, f)
+    if region.bit_of[g] & s1:
+        s2 = _arm(p, 2, a, d)
+    elif region.bit_of[h] & s1:
+        s2 = _arm(p, 2, a, f)
     else:
         raise PathError(note, "cut-off component misses both flanks")
     q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
@@ -981,14 +1000,15 @@ def _interior_split_one(
     if p.district(g) != 1 or p.district(h) != 1:
         raise PathError(note, "flanks of e not in district 1")
     s1, s2, same_side = _split_arms(p, a, c, e)
+    bit_of = region.bit_of
     if not same_side:
-        if h not in s1:
+        if not bit_of[h] & s1:
             raise PathError(note, "cut-off component misses the d-side flank")
-        s2 = component_of(region, p.district_set(2) - {a}, f)
-    x = d if d in s2 else (f if f in s2 else None)
+        s2 = _arm(p, 2, a, f)
+    x = d if bit_of[d] & s2 else (f if bit_of[f] & s2 else None)
     if x is None:
         raise PathError(note, "neither inner pivot lies in the arm")
-    if s2 - {x}:
+    if s2 & ~bit_of[x]:
         q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, protected=x, note="unwind")
         b.extend(steps)
         if outcome == "balanced":
@@ -1006,9 +1026,7 @@ def _interior_split_endgame(
     """x is the lone remaining vertex of its district-2 arm."""
     note = "interior-pair"
     p = b.p
-    region = p.region
-    comps = connected_components(region, p.district_set(1) - {e})
-    away = [s for s in comps if (1, 1) not in s]
+    away = _away(p, _without(p, 1, e))
     if len(away) != 1:
         raise PathError(note, "endgame cut components not binary")
     v1, to = find_shrink_vertex(p, away[0], (3, 2))
@@ -1045,7 +1063,8 @@ def _interior_split_two(
         b.flip(e, 2, note)
         _interior_goal(b, i, a, bb, depth)
         return
-    if e2 not in region.columns_leq(i) and neighborhood_flip_test(p, e2, 2):
+    left = region.cols_leq_mask(i)
+    if not region.bit_of[e2] & left and neighborhood_flip_test(p, e2, 2):
         b.flip(e2, 2, note)
         _interior_goal(b, i, a, bb, depth)
         return
@@ -1064,10 +1083,10 @@ def _interior_split_two(
         raise PathError(note, "e connected yet unfippable to district 2")
     s1, s2, same_side = _split_arms(p, a, c, e)
     if not same_side:
-        if h not in s1:
+        if not region.bit_of[h] & s1:
             raise PathError(note, "cut-off component misses the h flank")
-        s2 = component_of(region, p.district_set(2) - {a}, f)
-    if s1 & region.boundary:
+        s2 = _arm(p, 2, a, f)
+    if s1 & region.boundary_mask:
         raise PathError(note, "cut-off arm reaches the boundary")
     q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
     b.extend(steps)
@@ -1081,7 +1100,7 @@ def _interior_split_two(
         b.flip(e, 3, note)
         return
     b.flip(e, 2, note)
-    if e2 in s1:
+    if region.bit_of[e2] & s1:
         b.flip(a, 3, note)
         return
     _interior_goal(b, i, a, bb, depth)
@@ -1095,12 +1114,12 @@ def _interior_goal(
     note = "interior-pair"
     p = b.p
     region = p.region
-    pool = p.district_set(2) - {a} - set(region.neighbors(a))
-    comps = connected_components(region, pool)
-    if not comps:
+    bit_a = region.bit_of[a]
+    pool = p.masks()[1] & ~bit_a & ~region.neighbors_mask(bit_a)
+    if not pool:
         raise PathError(note, "district 2 confined to the pivot neighborhood")
-    comps.sort(key=lambda s: min(ordering_index(u) for u in s))
-    v2, to = find_shrink_vertex(p, comps[0], (3, 1))
+    # the component of least ordering index
+    v2, to = find_shrink_vertex(p, region.component(pool, pool & -pool), (3, 1))
     if to == 3:
         b.flip(v2, 3, note)
         return
@@ -1113,7 +1132,7 @@ def _interior_goal(
 
 def _case_b(b: _Builder, i: int) -> None:
     p = b.p
-    if p.district_set(2) & p.region.boundary:
+    if p.masks()[1] & p.region.boundary_mask:
         raise PathError("interior-2", "district 2 touches the boundary")
     tris = tricolor_triangles(p)
     if not tris:
@@ -1129,7 +1148,7 @@ def _case_c(b: _Builder, i: int) -> None:
     note = "interior-3"
     p = b.p
     region = p.region
-    if p.district_set(3) & region.boundary:
+    if p.masks()[2] & region.boundary_mask:
         raise PathError(note, "district 3 touches the boundary")
     tris = sorted(
         tricolor_triangles(p),
@@ -1162,8 +1181,7 @@ def _case_c(b: _Builder, i: int) -> None:
         bbv = tri.vertex_in(p, 3)
         c = tri.vertex_in(p, 1)
         d, _, _, _, _ = _case_c_anatomy(p, a, bbv, c)
-        s2 = component_of(region, p.district_set(2) - {a}, d)
-        if not (s2 & region.boundary):
+        if not _arm(p, 2, a, d) & region.boundary_mask:
             _case_c_dispatch(b, i, a, bbv, c, 0)
             return
     raise PathError(note, "no boundary-free district-2 arm behind a pivot")
@@ -1226,22 +1244,17 @@ def _case_c_abd(b: _Builder, i: int, a: Vertex, bbv: Vertex, c: Vertex) -> None:
     h = _other_common(region, c, g, f)
     if p.district(f) != 1 or p.district(g) != 2 or p.district(h) != 1:
         raise PathError(note, "forced labels around c absent")
-    q2 = path_within(region, p.district_set(2), g, a)
+    q2 = path_within(region, p.masks()[1], g, a)
     cyc = q2 + [c]
     interior = vertices_enclosed(region, cyc)
-    comps = connected_components(region, p.district_set(1) - {c})
-    inside = [s for s in comps if next(iter(s)) in interior]
+    inside = [s for s in region.components(_without(p, 1, c)) if s & interior]
     if len(inside) != 1:
         raise PathError(note, f"expected one enclosed component, got {len(inside)}")
     s1 = inside[0]
-    if (1, 1) in s1:
+    if s1 & region.bit_of[(1, 1)]:
         raise PathError(note, "enclosed component holds the anchor")
-    qset = set(q2)
-    away = [
-        s
-        for s in connected_components(region, p.district_set(2) - {a})
-        if not (s & qset)
-    ]
+    on_q2 = region.mask_of(q2)
+    away = [s for s in region.components(_without(p, 2, a)) if not s & on_q2]
     if len(away) != 1:
         raise PathError(note, f"expected one off-path arm, got {len(away)}")
     q, steps, outcome = unwind(p, s1, away[0], 1, 2, 3, note="unwind")
@@ -1266,8 +1279,9 @@ def _case_c_dispatch(
     if depth > 8:
         raise PathError(note, "goal recursion exceeded its bound")
     d, dprime, e, e_run, f = _case_c_anatomy(p, a, bbv, c)
-    left = region.columns_leq(i)
-    if e in left:
+    bit_of = region.bit_of
+    left = region.cols_leq_mask(i)
+    if bit_of[e] & left:
         if neighborhood_flip_test(p, c, 3):
             b.flip(c, 3, note)
             return
@@ -1286,12 +1300,13 @@ def _case_c_dispatch(
             b.flip(e, 3, note)
             return
         raise PathError(note, "alternation gave no target for e")
-    if c in left:
-        comps = connected_components(region, p.district_set(1) - {e})
-        away = [s for s in comps if c not in s]
+    if bit_of[c] & left:
+        away = [
+            s for s in region.components(_without(p, 1, e)) if not s & bit_of[c]
+        ]
         if len(away) != 1:
             raise PathError(note, "cut components of e not binary")
-        if (1, 1) in away[0]:
+        if away[0] & region.bit_of[(1, 1)]:
             raise PathError(note, "cut-off component of e holds the anchor")
         _case_c_ecut(b, i, a, bbv, c, e, d, dprime, away[0], depth)
         return
@@ -1302,20 +1317,16 @@ def _case_c_dispatch(
         _p1_pocket_bdry(b, i, c)
         return
     away_c = [
-        s
-        for s in connected_components(region, p.district_set(1) - {c})
-        if e not in s
+        s for s in region.components(_without(p, 1, c)) if not s & bit_of[e]
     ]
     away_e = [
-        s
-        for s in connected_components(region, p.district_set(1) - {e})
-        if c not in s
+        s for s in region.components(_without(p, 1, e)) if not s & bit_of[c]
     ]
     if len(away_c) != 1 or len(away_e) != 1:
         raise PathError(note, "cut components of c and e not binary")
-    if (1, 1) not in away_c[0]:
+    if not away_c[0] & region.bit_of[(1, 1)]:
         raise PathError(note, "deleted sub-case: c cuts off a district-1 arm")
-    if (1, 1) not in away_e[0]:
+    if not away_e[0] & region.bit_of[(1, 1)]:
         _case_c_ecut(b, i, a, bbv, c, e, d, dprime, away_e[0], depth)
         return
     raise PathError(note, "both cut-off components hold the anchor")
@@ -1339,10 +1350,10 @@ def _case_c_ecut(
     note = "interior-3"
     p = b.p
     region = p.region
-    cyc = path_within(region, p.district_set(1), e, c) + [a]
+    cyc = path_within(region, p.masks()[0], e, c) + [a]
     interior = vertices_enclosed(region, cyc)
-    s2 = component_of(region, p.district_set(2) - {a}, d)
-    if next(iter(s1)) in interior:
+    s2 = _arm(p, 2, a, d)
+    if s1 & interior:
         if region.is_boundary(e):
             raise PathError(note, "enclosed arm with a boundary cut vertex")
         q, step = cycle_recombine(
@@ -1355,7 +1366,7 @@ def _case_c_ecut(
         b.flip(e, 2, note)
         _case_c_post(b, i, a, bbv, c, depth)
         return
-    if s2 - {dprime}:
+    if s2 & ~region.bit_of[dprime]:
         q, steps, outcome = unwind(
             p, s1, s2, 1, 2, 3, protected=dprime, note="unwind"
         )
@@ -1378,9 +1389,7 @@ def _case_c_endgame(
     """d-prime is the lone remaining vertex of the arm behind a."""
     note = "interior-3"
     p = b.p
-    region = p.region
-    comps = connected_components(region, p.district_set(1) - {e})
-    away = [s for s in comps if (1, 1) not in s]
+    away = _away(p, _without(p, 1, e))
     if len(away) != 1:
         raise PathError(note, "endgame cut components not binary")
     v1, to = find_shrink_vertex(p, away[0], (3, 2))
@@ -1408,19 +1417,16 @@ def _case_c_post(
         b.flip(a, 3, note)
         return
     d, dbar, ebar, e_run, f = _case_c_anatomy(p, a, bbv, c)
-    s2 = component_of(region, p.district_set(2) - {a}, d)
-    if s2 - {dbar}:
-        comps = [
-            s
-            for s in connected_components(
-                region, p.district_set(2) - {a, dbar}
-            )
-            if s <= s2
-        ]
-        if not comps:
+    s2 = _arm(p, 2, a, d)
+    if s2 & ~region.bit_of[dbar]:
+        # the first component inside the arm, in ordering-index order
+        past = next(
+            (s for s in region.components(_without(p, 2, a, dbar)) if not s & ~s2),
+            None,
+        )
+        if past is None:
             raise PathError(note, "arm has no component past its inner vertex")
-        comps.sort(key=lambda s: min(ordering_index(u) for u in s))
-        v, to = find_shrink_vertex(p, comps[0], (3, 1))
+        v, to = find_shrink_vertex(p, past, (3, 1))
         if to == 3:
             b.flip(v, 3, note)
             return
@@ -1440,13 +1446,12 @@ def _case_d(b: _Builder, i: int) -> None:
     p = b.p
     region = p.region
     consecutive = region.boundary_pairs
-    left = region.columns_leq(i)
+    b3 = p.masks()[2] & region.boundary_mask
     cand = []
-    for a in sorted(p.district_set(1) & region.boundary, key=ordering_index):
-        if a in left:
-            continue
+    # boundary district-1 vertices beyond the column, in ordering index
+    for a in region.vertices_of(_beyond(p, i) & region.boundary_mask):
         for w in region.neighbors(a):
-            if w in region.boundary and p.district(w) == 3:
+            if region.bit_of[w] & b3:
                 cand.append((a, w))
     cand.sort(
         key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
@@ -1491,12 +1496,12 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
     note = "separated"
     p = b.p
     region = p.region
-    comps = connected_components(region, p.district_set(1) - {a})
-    away = [s for s in comps if (1, 1) not in s]
+    away = _away(p, _without(p, 1, a))
     if len(away) != 1:
         raise PathError(note, "cut components of a not binary")
     s1 = away[0]
-    x = c if c in s1 else (e if e in s1 else None)
+    bit_of = region.bit_of
+    x = c if bit_of[c] & s1 else (e if bit_of[e] & s1 else None)
     if x is None:
         raise PathError(note, "cut-off component misses both junction flanks")
     dn = region.neighbors_cyclic(d)
@@ -1522,12 +1527,15 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
         b.flip(d, 1, note)
         b.flip(a, 3, note)
         return
-    comps_y = connected_components(region, p.district_set(1) - {y})
-    far = [s for s in comps_y if a not in s]
-    if not far:
+    # the first component of the handoff cut, in ordering-index order, that
+    # avoids a
+    far = next(
+        (s for s in region.components(_without(p, 1, y)) if not s & bit_of[a]),
+        None,
+    )
+    if far is None:
         raise PathError(note, "no component of the handoff cut avoids a")
-    far.sort(key=lambda s: min(ordering_index(u) for u in s))
-    v, to = find_shrink_vertex(p, far[0], (3, 2))
+    v, to = find_shrink_vertex(p, far, (3, 2))
     if to == 3:
         b.flip(v, 3, note)
         return
@@ -1564,15 +1572,14 @@ def _case_d_2a(
     note = "separated"
     p = b.p
     region = p.region
-    if g not in region.columns_leq(i):
+    if not region.bit_of[g] & region.cols_leq_mask(i):
         b.flip(g, 2, note)
         b.flip(d, 1, note)
         b.flip(a, 3, note)
         return
-    qpath = path_within(region, p.district_set(1), a, g)
-    on_q = set(qpath)
-    comps = connected_components(region, p.district_set(1) - {a})
-    away = [s for s in comps if not (s & on_q)]
+    qpath = path_within(region, p.masks()[0], a, g)
+    on_q = region.mask_of(qpath)
+    away = [s for s in region.components(_without(p, 1, a)) if not s & on_q]
     if len(away) != 1:
         raise PathError(note, "cut components of a not binary")
     s1 = away[0]
@@ -1580,11 +1587,9 @@ def _case_d_2a(
     interior = vertices_enclosed(region, cyc)
     if s1 & interior:
         raise PathError(note, "free arm trapped inside the wedge cycle")
-    s2 = None
-    for s in connected_components(region, p.district_set(2) - {d}):
-        if next(iter(s)) in interior:
-            s2 = s
-            break
+    s2 = next(
+        (s for s in region.components(_without(p, 2, d)) if s & interior), None
+    )
     if s2 is None:
         raise PathError(note, "no district-2 arm inside the wedge cycle")
     q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
@@ -1619,30 +1624,31 @@ def _case_d_2b(
     o = _other_common(region, g, h, d)
     if p.district(l) != 1 or p.district(o) != 1 or p.district(m) == 1:
         raise PathError(note, "forced cut-wedge labels absent")
-    qpath = path_within(region, p.district_set(1), a, g)
-    on_q = set(qpath)
+    qpath = path_within(region, p.masks()[0], a, g)
+    on_q = region.mask_of(qpath)
     cyc = qpath + [d]
     interior = vertices_enclosed(region, cyc)
 
     def off_cycle(center):
-        comps = connected_components(region, p.district_set(1) - {center})
-        away = [s for s in comps if not (s & on_q)]
+        away = [
+            s for s in region.components(_without(p, 1, center)) if not s & on_q
+        ]
         if len(away) != 1:
             raise PathError(note, "cut components not binary")
         return away[0]
 
     s1a = off_cycle(a)
     s1g = off_cycle(g)
-    cands = [s for s in (s1a, s1g) if (1, 1) not in s]
-    if not cands:
+    # s1 is the first of the two without the anchor; at_a: it is s1a
+    at_a = not s1a & region.bit_of[(1, 1)]
+    if not at_a and s1g & region.bit_of[(1, 1)]:
         raise PathError(note, "both off-cycle components hold the anchor")
-    s1 = cands[0]
-    if not (s1 & interior):
-        s2 = None
-        for s in connected_components(region, p.district_set(2) - {d}):
-            if next(iter(s)) in interior:
-                s2 = s
-                break
+    s1 = s1a if at_a else s1g
+    if not s1 & interior:
+        s2 = next(
+            (s for s in region.components(_without(p, 2, d)) if s & interior),
+            None,
+        )
         if s2 is None:
             raise PathError(note, "no district-2 arm inside the cycle")
         q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
@@ -1654,14 +1660,14 @@ def _case_d_2b(
                 note, "deleted sub-case: unwinding made districts 2 and 3 adjacent"
             )
         if outcome == "s1-exhausted":
-            if s1 is s1a:
+            if at_a:
                 b.flip(a, 3, note)
                 return
             _case_d_2a(b, i, a, bv, d, g)
             return
         _case_d_resume_one(b, i, a, bv)
         return
-    if s1 is not s1g:
+    if at_a:
         raise PathError(note, "junction component enclosed by the cycle")
     q, step = cycle_recombine(p, cyc, d, g, note="cycle-recombine")
     b.extend([step])
@@ -1826,7 +1832,7 @@ def _nb_core(b: _Builder, depth: int) -> None:
         if to == 3:
             b.flip(v, 3, note)
             return
-    if any(x in p.district_set(2) for x in corners):
+    if any(p.district(x) == 2 for x in corners):
         if not rem:
             raise PathError(note, "no removable vertex in the oversized district")
         b.flip(rem[0][0], 2, note)
@@ -1884,12 +1890,8 @@ def _nb_junction(b: _Builder, a: Vertex, bv: Vertex, depth: int) -> None:
     if not i_conn and not l_conn:
         if [p.district(u) for u in seq] != [3, 1, 3, 1]:
             raise PathError(note, "forced junction labels absent")
-        for s in connected_components(region, p.district_set(1) - {a}):
-            if not any(
-                p.district(u) == 2
-                for v in s
-                for u in region.neighbors(v)
-            ):
+        for s in region.components(_without(p, 1, a)):
+            if not region.neighbors_mask(s) & p.masks()[1]:
                 vp, _ = find_shrink_vertex(p, s, (3,))
                 b.flip(vp, 3, note)
                 return
@@ -1917,22 +1919,18 @@ def _nb_junction_wedge(b: _Builder, a: Vertex, seq, depth: int) -> None:
     if not at_most_one_arc(p, d, 1):
         if p.district(g) != 1 or p.district(f) == 1 or p.district(h) == 1:
             raise PathError(note, "forced cut-wedge labels absent")
-        qpath = path_within(region, p.district_set(1), a, g)
+        qpath = path_within(region, p.masks()[0], a, g)
         cycq = qpath + [d]
         interior = vertices_enclosed(region, cycq)
         inside = [
-            s
-            for s in connected_components(region, p.district_set(2) - {d})
-            if next(iter(s)) in interior
+            s for s in region.components(_without(p, 2, d)) if s & interior
         ]
         if len(inside) != 1:
             raise PathError(note, "expected one enclosed settled arm")
         s_j = inside[0]
-        qset = set(qpath) - {a}
+        on_q = region.mask_of(qpath)
         away = [
-            s
-            for s in connected_components(region, p.district_set(1) - {a})
-            if not (s & qset)
+            s for s in region.components(_without(p, 1, a)) if not s & on_q
         ]
         if len(away) != 1:
             raise PathError(note, "cut components of a not binary")
@@ -1940,8 +1938,8 @@ def _nb_junction_wedge(b: _Builder, a: Vertex, seq, depth: int) -> None:
     else:
         if p.district(f) != 2 or p.district(g) != 3 or p.district(h) != 2:
             raise PathError(note, "forced split-wedge labels absent")
-        s_i = component_of(region, p.district_set(1) - {a}, e)
-        s_j = component_of(region, p.district_set(2) - {d}, f)
+        s_i = _arm(p, 1, a, e)
+        s_j = _arm(p, 2, d, f)
     q, steps, outcome = unwind(p, s_i, s_j, 1, 2, 3, note="unwind")
     b.extend(steps)
     if outcome == "balanced":
@@ -1958,12 +1956,8 @@ def _nb_dclean(b: _Builder, a: Vertex, d: Vertex) -> None:
     note = "restore-balance"
     p = b.p
     region = p.region
-    pool = p.district_set(1) - set(region.neighbors(d))
-    comps = sorted(
-        connected_components(region, pool),
-        key=lambda s: min(ordering_index(u) for u in s),
-    )
-    for s in comps:
+    pool = p.masks()[0] & ~region.neighbors_mask(region.bit_of[d])
+    for s in region.components(pool):
         try:
             v, to = find_shrink_vertex(p, s, (3, 2))
         except NoShrinkVertex:
@@ -1997,13 +1991,13 @@ def _nb_junction_split(
             seen_gap = True
     if dvert is None:
         raise PathError(note, "no second deficit block at the junction")
-    cycp = path_within(region, p.district_set(3), bv, dvert) + [a]
+    cycp = path_within(region, p.masks()[2], bv, dvert) + [a]
     interior = vertices_enclosed(region, cycp)
-    p1_rest = p.district_set(1) - {a}
+    p1_rest = _without(p, 1, a)
     if not p1_rest:
         raise PathError(note, "oversized district is a single vertex")
-    p1_inside = next(iter(p1_rest)) in interior
-    p2_inside = next(iter(p.district_set(2))) in interior
+    p1_inside = bool(p1_rest & interior)
+    p2_inside = bool(p.masks()[1] & interior)
     if p1_inside != p2_inside:
         v, _ = find_shrink_vertex(p, p1_rest, (3,))
         b.flip(v, 3, note)
@@ -2019,7 +2013,7 @@ def _nb_tric(b: _Builder, depth: int) -> None:
     note = "restore-balance"
     p = b.p
     region = p.region
-    if p.district_set(2) & region.boundary:
+    if p.masks()[1] & region.boundary_mask:
         raise PathError(note, "settled district touches the boundary")
     tris = sorted(
         tricolor_triangles(p),
@@ -2076,13 +2070,9 @@ def _nb_cmach(
     note = "restore-balance"
     p = b.p
     region = p.region
-    cycp = path_within(region, p.district_set(2), cv, e) + [av]
+    cycp = path_within(region, p.masks()[1], cv, e) + [av]
     interior = vertices_enclosed(region, cycp)
-    inside = [
-        s
-        for s in connected_components(region, p.district_set(1) - {av})
-        if next(iter(s)) in interior
-    ]
+    inside = [s for s in region.components(_without(p, 1, av)) if s & interior]
     if len(inside) != 1:
         raise PathError(note, f"expected one enclosed component, got {len(inside)}")
     s1 = inside[0]
@@ -2096,23 +2086,19 @@ def _nb_cmach(
         return
     if at_most_one_arc(p, cv, 2):
         raise PathError(note, "settled pivot connected yet unflippable")
-    cset = set(cycp) - {cv, av}
+    on_cycle = region.mask_of(cycp)
     away = [
-        s
-        for s in connected_components(region, p.district_set(2) - {cv})
-        if not (s & cset)
+        s for s in region.components(_without(p, 2, cv)) if not s & on_cycle
     ]
     if len(away) != 1:
         raise PathError(note, "cut components of the settled pivot not binary")
     s2 = away[0]
-    if next(iter(s2)) in interior:
+    if s2 & interior:
         q, step = cycle_recombine(p, cycp, av, cv, note="cycle-recombine")
         b.extend([step])
         b.flip(cv, 3, note)
         inside2 = [
-            s
-            for s in connected_components(region, b.p.district_set(1) - {av})
-            if next(iter(s)) in interior
+            s for s in region.components(_without(b.p, 1, av)) if s & interior
         ]
         if len(inside2) != 1:
             raise PathError(note, "recombination left no enclosed component")
@@ -2131,8 +2117,7 @@ def _nb_cmach(
             note, "deleted sub-case: pivot with a whole district-1 neighborhood"
         )
     b.flip(cv, 3, note)
-    rem1 = {u for u in s1 if b.p.district(u) == 1}
-    v, _ = find_shrink_vertex(b.p, rem1, (2,))
+    v, _ = find_shrink_vertex(b.p, s1 & b.p.masks()[0], (2,))
     b.flip(v, 2, note)
 
 

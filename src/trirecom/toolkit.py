@@ -4,6 +4,12 @@ towers, and exact cycle-interior computation.
 
 Every procedure validates each move it emits; a violated structural
 guarantee raises StructuralError rather than producing an unverified step.
+
+Vertex sets come in and go out as bitboards (lattice.TriRegion.bit_of):
+find_shrink_vertex and unwind take candidate and arm bitboards,
+path_within and bfs_last_order search inside one (by vertex BFS, which
+keeps their tie-breaks), vertices_enclosed returns one, and cycle_recombine
+takes the component it rearranges from TriRegion.component.
 find_shrink_vertex scans a candidate bitboard with the local neighborhood
 flip test (shrink_flips, which the route builder's removable-vertex scan
 shares) and so needs a partition whose districts are simply connected: the
@@ -22,7 +28,7 @@ from collections import deque
 
 from .lattice import ONE_ARC, OUTSIDE, TriRegion, Vertex, ordering_index
 from .moves import RecomStep, apply_flip, flip_valid, untouched_of_flip
-from .partition import Partition, component_of
+from .partition import Partition
 
 
 class StructuralError(Exception):
@@ -71,14 +77,14 @@ def shrink_flips(p: Partition, cands: int, prefer: tuple[int, ...]):
 
 
 def find_shrink_vertex(
-    p: Partition, subset, prefer: tuple[int, ...]
+    p: Partition, cands: int, prefer: tuple[int, ...]
 ) -> tuple[Vertex, int]:
-    """The first vertex of `subset` (ascending ordering index) admitting a
-    valid flip to a district in `prefer` (tried in order per vertex), as
-    (vertex, target).  Candidates are exposed non-cut vertices of their own
-    district; raises NoShrinkVertex when none qualifies.  Every district of
-    p must be simply connected (the local flip test's precondition)."""
-    cands = p.region.mask_of(subset)
+    """The first vertex of the candidate bitboard (ascending ordering index)
+    admitting a valid flip to a district in `prefer` (tried in order per
+    vertex), as (vertex, target).  Candidates are exposed non-cut vertices
+    of their own district; raises NoShrinkVertex when none qualifies.  Every
+    district of p must be simply connected (the local flip test's
+    precondition)."""
     for found in shrink_flips(p, cands, prefer):
         return found
     raise NoShrinkVertex(
@@ -91,12 +97,12 @@ def find_shrink_vertex(
 
 
 def path_within(
-    region: TriRegion, vset, src: Vertex, dst: Vertex
+    region: TriRegion, m: int, src: Vertex, dst: Vertex
 ) -> list[Vertex]:
-    """A shortest path from src to dst inside vset, deterministic via
+    """A shortest path from src to dst inside bitboard m, deterministic via
     ascending-ordering-index BFS."""
-    vset = set(vset)
-    if src not in vset or dst not in vset:
+    bit_of = region.bit_of
+    if not bit_of[src] & m or not bit_of[dst] & m:
         raise StructuralError("path endpoints must lie in the set")
     parent: dict[Vertex, Vertex | None] = {src: None}
     queue = deque([src])
@@ -105,7 +111,7 @@ def path_within(
         if w == dst:
             break
         for u in sorted(region.neighbors(w), key=ordering_index):
-            if u in vset and u not in parent:
+            if bit_of[u] & m and u not in parent:
                 parent[u] = w
                 queue.append(u)
     if dst not in parent:
@@ -139,19 +145,20 @@ def _strictly_inside(p: tuple[int, int], poly: list[tuple[int, int]]) -> bool:
     return inside
 
 
-def vertices_enclosed(region: TriRegion, cycle) -> frozenset[Vertex]:
-    """Region vertices strictly inside the closed lattice walk `cycle` (a
-    sequence of pairwise-adjacent vertices, last adjacent to first)."""
+def vertices_enclosed(region: TriRegion, cycle) -> int:
+    """The bitboard of the region vertices strictly inside the closed
+    lattice walk `cycle` (a sequence of pairwise-adjacent vertices, last
+    adjacent to first)."""
     cycle = list(cycle)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if not region.adjacent(a, b):
             raise StructuralError(f"cycle vertices {a} and {b} not adjacent")
     poly = [_planar_point(v) for v in cycle]
-    on_cycle = set(cycle)
-    return frozenset(
+    on_cycle = region.mask_of(cycle)
+    return region.mask_of(
         v
-        for v in region.vertices
-        if v not in on_cycle and _strictly_inside(_planar_point(v), poly)
+        for v, bit in zip(region.vertices, region.bits)
+        if not bit & on_cycle and _strictly_inside(_planar_point(v), poly)
     )
 
 
@@ -159,14 +166,14 @@ def vertices_enclosed(region: TriRegion, cycle) -> frozenset[Vertex]:
 
 
 def bfs_last_order(
-    region: TriRegion, vset, root: Vertex, first_child: Vertex | None = None
+    region: TriRegion, m: int, root: Vertex, first_child: Vertex | None = None
 ) -> list[Vertex]:
-    """BFS visit order of vset from root; children enqueue in ascending
-    ordering index, except that first_child (a neighbor of root) enqueues
-    first.  The last vertex has a connected neighborhood inside vset of size
-    below six."""
-    vset = set(vset)
-    if root not in vset:
+    """BFS visit order of bitboard m from root; children enqueue in
+    ascending ordering index, except that first_child (a neighbor of root)
+    enqueues first.  The last vertex has a connected neighborhood inside m
+    of size below six."""
+    bit_of = region.bit_of
+    if not bit_of[root] & m:
         raise StructuralError("BFS root must lie in the set")
     order = [root]
     seen = {root}
@@ -174,7 +181,7 @@ def bfs_last_order(
     while queue:
         w = queue.popleft()
         nbrs = sorted(
-            (u for u in region.neighbors(w) if u in vset and u not in seen),
+            (u for u in region.neighbors(w) if bit_of[u] & m and u not in seen),
             key=ordering_index,
         )
         if w == root and first_child is not None:
@@ -186,7 +193,7 @@ def bfs_last_order(
             seen.add(u)
             order.append(u)
             queue.append(u)
-    if len(order) != len(vset):
+    if len(order) != m.bit_count():
         raise StructuralError("BFS set is not connected")
     return order
 
@@ -224,33 +231,30 @@ def cycle_recombine(
         raise StructuralError("x must be in a different district than the cycle")
     if y not in ring or not region.adjacent(x, y):
         raise StructuralError("y must be a cycle neighbor of x")
+    masks = p.masks()
+    bit_of = region.bit_of
+    untouched = ({1, 2, 3} - {d_ring, d_x}).pop()
     interior = vertices_enclosed(region, cycle)
-    for v in interior:
-        if p.district(v) not in (d_ring, d_x):
-            raise StructuralError("interior touches a third district")
-    seeds = [
-        u
-        for u in region.neighbors(y)
-        if u in interior and p.district(u) == d_x
-    ]
+    if interior & masks[untouched - 1]:
+        raise StructuralError("interior touches a third district")
+    seeds = region.neighbors_mask(bit_of[y]) & interior & masks[d_x - 1]
     if not seeds:
         raise StructuralError("y has no inside neighbor in x's district")
-    seed = min(seeds, key=ordering_index)
-    inner = component_of(region, interior, seed)
-    if not any(region.adjacent(x, v) for v in inner):
+    # grown from the seed of least ordering index
+    inner = region.component(interior, seeds & -seeds)
+    if not region.neighbors_mask(bit_of[x]) & inner:
         raise StructuralError("inner component must touch x")
-    order = bfs_last_order(region, set(inner) | {x}, x, first_child=keep)
-    m = sum(1 for v in inner if p.district(v) == d_ring)
-    to_ring = set(order[len(order) - m :]) if m else set()
+    order = bfs_last_order(region, inner | bit_of[x], x, first_child=keep)
+    m = (inner & masks[d_ring - 1]).bit_count()
+    to_ring = region.mask_of(order[len(order) - m :]) if m else 0
     moves = []
-    for v in inner:
-        nd = d_ring if v in to_ring else d_x
+    for v in region.vertices_of(inner):
+        nd = d_ring if bit_of[v] & to_ring else d_x
         if nd != p.district(v):
             moves.append((v, nd))
     if not moves:
         raise StructuralError("cycle recombination must change the interior")
     q = p.with_moves(moves)
-    untouched = ({1, 2, 3} - {d_ring, d_x}).pop()
     return q, RecomStep(untouched, q.labels, note)
 
 
@@ -334,19 +338,20 @@ def execute_tower(
 
 def unwind(
     p: Partition,
-    s1,
-    s2,
+    s1: int,
+    s2: int,
     d1: int,
     d2: int,
     d3: int,
     protected: Vertex | None = None,
     note: str = "unwind",
 ) -> tuple[Partition, list[RecomStep], str]:
-    """Alternately shrink two non-adjacent arms: s1 inside district d1 (one
-    above target) and s2 inside district d2 (at target), with d3 one below
-    target.  Each round flips one s1 vertex out and one s2 vertex back; the
-    first opportunity to feed d3 ends in balance.  `protected`, if given, is
-    an s2 vertex that is never reassigned.
+    """Alternately shrink two non-adjacent arms, given as bitboards: s1
+    inside district d1 (one above target) and s2 inside district d2 (at
+    target), with d3 one below target.  Each round flips one s1 vertex out
+    and one s2 vertex back; the first opportunity to feed d3 ends in
+    balance.  `protected`, if given, is an s2 vertex that is never
+    reassigned.
 
     Returns (partition, steps, outcome) with outcome 'balanced',
     's1-exhausted' (all of s1 moved to d2), or 's2-exhausted' (all of s2 but
@@ -354,34 +359,34 @@ def unwind(
     d3 undersized."""
     cur = p
     steps: list[RecomStep] = []
-    s1 = set(s1)
-    s2 = set(s2)
-    if not s1 or not (s2 - {protected}):
+    region = p.region
+    bit_of = region.bit_of
+    masks = p.masks()
+    protect = 0 if protected is None else bit_of[protected]
+    if not s1 or not s2 & ~protect:
         raise StructuralError("unwinding needs nonempty reassignable arms")
-    if any(cur.district(v) != d1 for v in s1) or any(
-        cur.district(v) != d2 for v in s2
-    ):
+    if s1 & ~masks[d1 - 1] or s2 & ~masks[d2 - 1]:
         raise StructuralError("arm districts do not match")
-    if any(
-        u in s2 for v in s1 for u in cur.region.neighbors(v)
-    ):
+    if region.neighbors_mask(s1) & s2:
         raise StructuralError("unwinding arms must not be adjacent")
+    # from here on s2 is the reassignable part of the arm
+    s2 &= ~protect
     while True:
         v1, to1 = find_shrink_vertex(cur, s1, (d3, d2))
         if to1 == d3:
             cur = _flip(cur, v1, d3, note, steps)
             return cur, steps, "balanced"
-        v2, to2 = find_shrink_vertex(cur, s2 - {protected}, (d3, d1))
+        v2, to2 = find_shrink_vertex(cur, s2, (d3, d1))
         cur = _flip(cur, v1, d2, note, steps)
-        s1.discard(v1)
+        s1 &= ~bit_of[v1]
         q = _checked_flip(cur, v2, to2)
         if q is None:
             raise StructuralError("arm flip invalidated by the paired flip")
         cur = _flip(cur, v2, to2, note, steps, q)
         if to2 == d3:
             return cur, steps, "balanced"
-        s2.discard(v2)
+        s2 &= ~bit_of[v2]
         if not s1:
             return cur, steps, "s1-exhausted"
-        if not (s2 - {protected}):
+        if not s2:
             return cur, steps, "s2-exhausted"

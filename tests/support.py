@@ -6,12 +6,16 @@ states rebuilt from their labels, simply connected subsets and the window by
 filtering every labelling, tricolor triangles (a scan over every face), the
 route builder's vertex-set scans that now run on bitboards (removable
 vertices, rebalance case dispatch, district adjacency, first open column),
-and trace verification (one classified Partition per state)."""
+and trace verification (one classified Partition per state).  The program
+holds vertex sets only as bitboards; the frozenset views here (districts,
+components by breadth-first search, the boundary and the columns) are the
+references its bitboard answers are compared with."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from trirecom import (
     Partition,
@@ -21,7 +25,7 @@ from trirecom import (
     ground_state,
     in_omega,
 )
-from trirecom.lattice import ordering_index
+from trirecom.lattice import OUTSIDE, ordering_index
 from trirecom.moves import RecomStep, neighborhood_flip_test, untouched_of_flip
 from trirecom.oracle import _anchored_masks
 from trirecom.partition import (
@@ -30,8 +34,6 @@ from trirecom.partition import (
     _simply_connected_mask,
     at_most_one_arc,
     classify,
-    component_of,
-    connected_components,
 )
 
 #: Balanced target vectors used for sampled instances at each side length.
@@ -43,6 +45,66 @@ TARGETS_BY_SIDE = {
 }
 
 
+def district_set(p: Partition, d: int) -> frozenset:
+    """District d of p as a vertex set, read from the labels."""
+    return frozenset(
+        v for v, lab in zip(p.region.vertices, p.labels) if lab == d
+    )
+
+
+def boundary_vertices(region) -> frozenset:
+    """The region vertices with a neighbor slot outside the region."""
+    return frozenset(
+        v for v in region.vertices if OUTSIDE in region.neighbors_cyclic(v)
+    )
+
+
+def column(region, i: int) -> frozenset:
+    """Vertices of the i-th column, 1-based."""
+    return frozenset(v for v in region.vertices if v[0] == i)
+
+
+def columns_leq(region, i: int) -> frozenset:
+    """Vertices of columns 1..i, for i >= 0."""
+    return frozenset(v for v in region.vertices if v[0] <= i)
+
+
+def connected_components(region, vset) -> list[frozenset]:
+    """Connected components of the subgraph induced by vset, by
+    breadth-first search: the reference for TriRegion.components."""
+    remaining = set(vset)
+    comps = []
+    while remaining:
+        root = next(iter(remaining))
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in region.neighbors(v):
+                if u in remaining and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        comps.append(frozenset(seen))
+        remaining -= seen
+    return comps
+
+
+def component_of(region, vset, v) -> frozenset:
+    """The connected component of v inside vset (v must be in vset), by
+    breadth-first search: the reference for TriRegion.component."""
+    vset = set(vset)
+    assert v in vset
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        w = queue.popleft()
+        for u in region.neighbors(w):
+            if u in vset and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return frozenset(seen)
+
+
 def bfs_is_simply_connected(region, vset) -> bool:
     """Reference definition by breadth-first search: vset is nonempty and
     connected, and every component of its complement reaches the region
@@ -51,9 +113,9 @@ def bfs_is_simply_connected(region, vset) -> bool:
     if not vset or not is_connected(region, vset):
         return False
     complement = set(region.vertices) - vset
+    boundary = boundary_vertices(region)
     return all(
-        comp & region.boundary
-        for comp in connected_components(region, complement)
+        comp & boundary for comp in connected_components(region, complement)
     )
 
 
@@ -88,7 +150,7 @@ def is_exposed(p: Partition, v) -> bool:
 def exposed_vertices(p: Partition, d: int) -> frozenset:
     """Vertices of district d adjacent to a different district."""
     out = set()
-    for v in p.district_set(d):
+    for v in district_set(p, d):
         for u in p.region.neighbors(v):
             if p.district(u) != d:
                 out.add(v)
@@ -173,9 +235,9 @@ def removables_reference(p: Partition, cands) -> list:
 def districts_adjacent_reference(p: Partition, d1: int, d2: int) -> bool:
     """Reference for partition.districts_adjacent: some district-d1 vertex
     has a district-d2 neighbor."""
-    s2 = p.district_set(d2)
+    s2 = district_set(p, d2)
     return any(
-        u in s2 for v in p.district_set(d1) for u in p.region.neighbors(v)
+        u in s2 for v in district_set(p, d1) for u in p.region.neighbors(v)
     )
 
 
@@ -183,9 +245,9 @@ def case_dispatch_reference(p: Partition):
     """Reference for partition.case_dispatch on vertex sets: the letter of
     the one case that holds, or None when the four flags do not single one
     out (case_dispatch then fails its assertion)."""
-    bd = p.region.boundary
-    p2b = p.district_set(2) & bd
-    p3b = p.district_set(3) & bd
+    bd = boundary_vertices(p.region)
+    p2b = district_set(p, 2) & bd
+    p3b = district_set(p, 3) & bd
     case_a = any(u in p3b for v in p2b for u in p.region.neighbors(v))
     case_b = not p2b
     case_c = not p3b
@@ -198,9 +260,9 @@ def first_open_column_reference(p: Partition) -> int:
     """Reference for pathfinder._first_open_column: the first column that
     is not inside district 1."""
     region = p.region
-    s1 = p.district_set(1)
+    s1 = district_set(p, 1)
     return next(
-        j for j in range(1, region.n + 1) if not region.column(j) <= s1
+        j for j in range(1, region.n + 1) if not column(region, j) <= s1
     )
 
 
@@ -317,7 +379,8 @@ def random_interior_tripartition(region, rng: random.Random):
     connected.  Targets are set to the realized sizes, so the result is a
     valid balanced partition of an arbitrary-size instance.
     """
-    interior = [v for v in region.vertices if v not in region.boundary]
+    boundary = boundary_vertices(region)
+    interior = [v for v in region.vertices if v not in boundary]
     size3 = rng.randrange(1, len(interior) + 1)
     start = interior[rng.randrange(len(interior))]
     s3 = {start}
@@ -326,7 +389,7 @@ def random_interior_tripartition(region, rng: random.Random):
             u
             for v in s3
             for u in region.neighbors(v)
-            if u not in s3 and u not in region.boundary
+            if u not in s3 and u not in boundary
         ]
         if not frontier:
             break
@@ -454,7 +517,9 @@ def random_all_corner_state(region, rng: random.Random, junction=False):
     n = region.n
     room = region.num_vertices - (2 * n - 1)  # for the other two districts
     corners = frozenset(region.corners)
-    starts = sorted((region.boundary if junction else region.vertex_set) - corners)
+    starts = sorted(
+        (boundary_vertices(region) if junction else region.vertex_set) - corners
+    )
     while True:
         thin = junction or rng.random() < 0.5
         size1 = rng.randint(n + 1, room - n)

@@ -31,7 +31,6 @@ from trirecom.oracle import rigid_states, unlabeled_form
 from trirecom.partition import (
     BalanceClass,
     classify,
-    connected_components,
     tricolor_triangles,
 )
 from trirecom.pathfinder import balance_nearly, ground_path
@@ -44,6 +43,8 @@ from trirecom.toolkit import (
 
 from support import (
     boundary_pair_alternates,
+    connected_components,
+    district_set,
     is_connected,
     is_cut_vertex,
     is_simply_connected,
@@ -158,7 +159,7 @@ def test_criterion_5a_cut_vertex_neighborhood(omega5):
         region = p.region
         v = region.vertices[rng.randrange(region.num_vertices)]
         split = (
-            len(connected_components(region, p.district_set(p.district(v)) - {v}))
+            len(connected_components(region, district_set(p, p.district(v)) - {v}))
             > 1
         )
         assert is_cut_vertex(p, v) == split
@@ -196,7 +197,7 @@ def test_criterion_5c_bfs_last_vertex():
         region = build_region(5 if i % 2 else 6)
         vset = random_connected_subset(region, rng, region.num_vertices)
         root = sorted(vset)[rng.randrange(len(vset))]
-        order = bfs_last_order(region, vset, root)
+        order = bfs_last_order(region, region.mask_of(vset), root)
         assert set(order) == set(vset) and order[0] == root
         for cut in range(1, len(order) + 1):
             assert is_connected(region, order[:cut])
@@ -266,7 +267,7 @@ def test_criterion_5f_tricolor_triangles():
         if p is None:
             continue
         cases += 1
-        assert not (p.district_set(3) & p.region.boundary)
+        assert not p.masks()[2] & p.region.boundary_mask
         faces = tricolor_triangles(p)
         assert len(faces) == 2
         assert {t.chirality for t in faces} == {"cw", "ccw"}

@@ -1,8 +1,8 @@
-"""Bitboard validity: the vertex-to-bit layout, the region's masks and cached
-frames, slot patterns, the simple-connectivity kernel against the
-breadth-first reference, the per-district masks cached by Partition and
-carried to derived partitions, and the route builder's bitboard scans
-against their vertex-set references."""
+"""Bitboard validity: the vertex-to-bit layout, the region's masks, cached
+frames and connected components, slot patterns, the simple-connectivity
+kernel against the breadth-first reference, the per-district masks cached by
+Partition and carried to derived partitions, and the route builder's
+bitboard scans against their vertex-set references."""
 
 import itertools
 import random
@@ -21,7 +21,12 @@ from trirecom.pathfinder import _first_open_column, _removables
 from support import (
     balanced_targets,
     bfs_is_simply_connected,
+    boundary_vertices,
     case_dispatch_reference,
+    columns_leq,
+    component_of,
+    connected_components,
+    district_set,
     districts_adjacent_reference,
     first_open_column_reference,
     is_connected,
@@ -56,9 +61,9 @@ def test_region_masks_and_frames_match_the_vertex_sets(n):
     region = build_region(n)
     mask_of = region.mask_of
     assert region.full_mask == mask_of(region.vertices)
-    assert region.boundary_mask == mask_of(region.boundary)
+    assert region.boundary_mask == mask_of(boundary_vertices(region))
     for i in range(n + 3):
-        assert region.cols_leq_mask(i) == mask_of(region.columns_leq(i))
+        assert region.cols_leq_mask(i) == mask_of(columns_leq(region, i))
     assert region.vertices_of(region.full_mask) == sorted(
         region.vertices, key=lambda v: (v[0], v[1])
     )
@@ -85,6 +90,39 @@ def test_region_masks_and_frames_match_the_vertex_sets(n):
             assert source[image[i]] == i
         vset = {v for v in region.vertices if rng.random() < 0.5}
         assert region.map_mask(mask_of(vset), image) == mask_of(map(move, vset))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_region_components_equal_the_breadth_first_reference(n):
+    region = build_region(n)
+    rng = random.Random(500 + n)
+    masks = [0, region.full_mask]
+    for _ in range(60):
+        density = rng.random()
+        masks.append(
+            region.mask_of(v for v in region.vertices if rng.random() < density)
+        )
+    split = 0
+    for m in masks:
+        vset = frozenset(region.vertices_of(m))
+        comps = list(region.components(m))
+        expected = connected_components(region, vset)
+        assert sorted(comps) == sorted(region.mask_of(c) for c in expected)
+        # lowest bit first: ascending least ordering index
+        lows = [c & -c for c in comps]
+        assert lows == sorted(lows)
+        split += len(comps) > 1
+        if m:
+            assert is_connected(region, vset) == (len(comps) == 1)
+        for c in expected:
+            v = sorted(c)[rng.randrange(len(c))]
+            assert region.component(m, region.bit_of[v]) == region.mask_of(
+                component_of(region, vset, v)
+            )
+    assert list(region.components(0)) == []
+    assert list(region.components(region.full_mask)) == [region.full_mask]
+    # masks of several components occur at every side
+    assert split > 0
 
 
 def test_one_arc_table_counts_cyclic_runs():
@@ -149,7 +187,7 @@ def _punched(region, rng, vset):
         inner = [
             v
             for v in vset
-            if v not in region.boundary
+            if not region.is_boundary(v)
             and all(u in vset for u in region.neighbors(v))
         ]
         pool = inner if inner and rng.random() < 0.5 else sorted(vset)
@@ -182,7 +220,7 @@ def _check_masks(p):
     region = p.region
     masks = p.masks()
     for d in (1, 2, 3):
-        assert masks[d - 1] == region.mask_of(p.district_set(d))
+        assert masks[d - 1] == region.mask_of(district_set(p, d))
     assert masks[0] | masks[1] | masks[2] == region.mask_of(region.vertices)
     assert p.sizes() == tuple(p.labels.count(d) for d in (1, 2, 3))
 
@@ -209,16 +247,14 @@ def test_partition_masks_and_sizes_follow_the_labels(n, targets):
 
 
 @pytest.mark.parametrize("n, targets", [(5, (5, 5, 5)), (16, (45, 45, 46))])
-def test_carried_masks_and_districts_equal_rebuilt_ones(n, targets):
+def test_carried_masks_equal_rebuilt_ones(n, targets):
     region = build_region(n)
     rng = random.Random(77 + n)
     verts = region.vertices
     for _ in range(20):
         p = random_omega_state(region, targets, rng)
         p.masks()
-        p.districts()
         # a chain of derived partitions, each from a parent with cached masks
-        # and district sets
         for _ in range(10):
             if rng.random() < 0.3:
                 perm = dict(zip((1, 2, 3), rng.sample((1, 2, 3), 3)))
@@ -230,11 +266,10 @@ def test_carried_masks_and_districts_equal_rebuilt_ones(n, targets):
                 ]
                 q = p.with_moves(moves)
             # carried, not rebuilt on demand
-            assert q._masks is not None and q._districts is not None
+            assert q._masks is not None
             rebuilt = Partition(region, q.targets, q.labels)
             assert q.masks() == rebuilt.masks()
             assert q.sizes() == rebuilt.sizes()
-            assert q.districts() == rebuilt.districts()
             p = q
 
 
@@ -246,7 +281,7 @@ def _compare_scans(p):
     return the dispatch outcome and the number of removable vertices beyond
     each column, summed over the columns."""
     region = p.region
-    sets = p.districts()
+    sets = [district_set(p, d) for d in (1, 2, 3)]
     m1 = p.masks()[0]
     # the scan reads each candidate's own district, so any set is a candidate
     # set; the route builder passes district 1 beyond a column, or all of it
@@ -255,7 +290,7 @@ def _compare_scans(p):
         assert got == removables_reference(p, cands)
     found = 0
     for i in range(region.n + 1):
-        expected = removables_reference(p, sets[0] - region.columns_leq(i))
+        expected = removables_reference(p, sets[0] - columns_leq(region, i))
         assert _removables(p, m1 & ~region.cols_leq_mask(i)) == expected
         found += len(expected)
     for d1, d2 in itertools.permutations((1, 2, 3), 2):

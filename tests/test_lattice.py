@@ -91,7 +91,7 @@ def test_boundary_cycle(n):
     cycle = region.boundary_cycle()
     assert cycle[0] == (1, 1)
     assert len(cycle) == 3 * (n - 1)
-    assert set(cycle) == set(region.boundary)
+    assert region.mask_of(cycle) == region.boundary_mask
     assert len(set(cycle)) == len(cycle)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert region.adjacent(a, b)
@@ -133,17 +133,16 @@ def test_rotate_shifts_slots_by_two(rv):
 @given(sides)
 def test_columns_partition_the_region(n):
     region = build_region(n)
-    seen = set()
+    assert region.cols_leq_mask(0) == 0
+    seen = 0
     for i in range(1, n + 1):
-        col = region.column(i)
-        assert len(col) == i
-        assert all(v[0] == i for v in col)
-        assert not (col & seen)
+        col = region.cols_leq_mask(i) & ~region.cols_leq_mask(i - 1)
+        assert col.bit_count() == i
+        assert all(v[0] == i for v in region.vertices_of(col))
+        assert not col & seen
         seen |= col
-    assert seen == set(region.vertex_set)
-    assert region.columns_leq(n) == region.vertex_set
-    for i in range(1, n):
-        assert region.columns_leq(i) | region.column(i + 1) == region.columns_leq(i + 1)
+    assert seen == region.full_mask == region.cols_leq_mask(n)
+    assert region.cols_leq_mask(n + 1) == region.full_mask
 
 
 @given(region_and_vertex())

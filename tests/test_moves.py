@@ -25,6 +25,7 @@ from trirecom.partition import BalanceClass, classify, in_window, is_valid
 from support import (
     balanced_targets,
     bfs_is_simply_connected,
+    district_set,
     lift_flip,
     random_omega_state,
     recom_valid,
@@ -52,8 +53,8 @@ def test_flip_valid_matches_definition(pool5):
             for to in (1, 2, 3):
                 expected = (
                     to != frm
-                    and bfs_is_simply_connected(p.region, p.district_set(frm) - {v})
-                    and bfs_is_simply_connected(p.region, p.district_set(to) | {v})
+                    and bfs_is_simply_connected(p.region, district_set(p, frm) - {v})
+                    and bfs_is_simply_connected(p.region, district_set(p, to) | {v})
                 )
                 assert flip_valid(p, v, to) == expected
 
@@ -132,8 +133,8 @@ def test_flip_valid_recomputes_on_a_state_classified_outside_the_window():
             if to == frm:
                 continue
             expected = bfs_is_simply_connected(
-                region, p.district_set(frm) - {v}
-            ) and bfs_is_simply_connected(region, p.district_set(to) | {v})
+                region, district_set(p, frm) - {v}
+            ) and bfs_is_simply_connected(region, district_set(p, to) | {v})
             assert flip_valid(full, v, to) == expected
             assert flip_valid(p, v, to) == expected, (v, to)
             disagree += neighborhood_flip_test(p, v, to) != expected
@@ -193,7 +194,7 @@ def _check_carried_validity(p):
     classifying it afresh."""
     assert is_valid(p) and p._valid is True
     region = p.region
-    sets = p.districts()
+    sets = [district_set(p, d) for d in (1, 2, 3)]
     kept = [bfs_is_simply_connected(region, s) for s in sets]
     cases = valid = 0
     for v in region.vertices:
@@ -296,7 +297,7 @@ def test_recom_valid_rejects_identity_and_mismatched_instances(pool5):
     other_targets = p.relabeled({1: 2, 2: 1, 3: 3})
     if other_targets.targets == p.targets:
         assert recom_valid(p, other_targets) == any(
-            p.district_set(d) == other_targets.district_set(d) for d in (1, 2, 3)
+            district_set(p, d) == district_set(other_targets, d) for d in (1, 2, 3)
         )
 
 
@@ -305,7 +306,7 @@ def test_apply_recom_validates_structure(pool5):
     with pytest.raises(ValueError):
         apply_recom(p, RecomStep(1, p.labels, ""))  # identity step
     # a step that claims district 1 untouched but changes it
-    v = sorted(p.district_set(1))[0]
+    v = sorted(district_set(p, 1))[0]
     to = 2 if p.district(v) != 2 else 3
     q_labels = p.with_moves([(v, to)]).labels
     with pytest.raises(ValueError):

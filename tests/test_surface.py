@@ -2,10 +2,12 @@
 
 Every public top-level function or class, and every public method, must be
 referenced somewhere in `src/` outside its own definition, or in a benchmark
-script (`perfbench/*.py` other than its tests).  Code only the tests call
-belongs in `tests/support.py`.  Exempt are click commands (the CLI calls
-them through its group), dunders, and the allowlist below.  No `src/`
-module may import a name it does not use.
+script (`perfbench/*.py` other than its tests).  A method is referenced by
+an attribute access, a top-level name by a loaded global name or an import;
+a local variable, parameter or field of the same name does not count.  Code
+only the tests call belongs in `tests/support.py`.  Exempt are click
+commands (the CLI calls them through its group), dunders, and the allowlist
+below.  No `src/` module may import a name it does not use.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ ALLOWED_UNREFERENCED = {
     "ground_path",
     # writes the state-file format that cli.load_state reads
     "state_to_obj",
+    # Trace.annotations: the README's quick start prints it (only
+    # `from __future__ import annotations` shares the name in src/)
+    "annotations",
 }
 
 
@@ -55,45 +60,102 @@ def _is_click_command(node) -> bool:
     )
 
 
+def _bound_names(fn) -> set[str]:
+    """The names a function or lambda binds: its parameters and every name
+    it, or a scope nested in it, assigns, less those declared global."""
+    bound, declared = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return bound - declared
+
+
 def _references(tree: ast.Module):
-    """(name, ids of the enclosing definitions) for every name, attribute
-    and imported name in the tree."""
+    """(kind, name, ids of the enclosing definitions) for every reference
+    in the tree: kind 'attr' for an attribute access, 'name' for a loaded
+    name that no enclosing function or lambda binds, and 'import' for an
+    imported name."""
     out = []
 
-    def visit(node, inside):
+    def visit(node, inside, local):
         if isinstance(node, ast.Name):
-            out.append((node.id, inside))
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                out.append(("name", node.id, inside))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, inside))
+            out.append(("attr", node.attr, inside))
         elif isinstance(node, ast.alias):
-            out.append((node.name.rpartition(".")[2], inside))
+            out.append(("import", node.name.rpartition(".")[2], inside))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {id(node)}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound_names(node)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, local)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), frozenset())
+    return out
+
+
+def _unreferenced(trees: dict, defining) -> list[str]:
+    """The public definitions of the modules `defining` (keys of `trees`)
+    that no module of `trees` references outside their own definition.  A
+    method is referenced only by an attribute access, a top-level function
+    or class only by a loaded global name or an import, so a local
+    variable, parameter or field that shares the name is not a caller."""
+    refs: dict[tuple[bool, str], list[frozenset]] = {}
+    for tree in trees.values():
+        for kind, name, inside in _references(tree):
+            refs.setdefault((kind == "attr", name), []).append(inside)
+    out = []
+    for key in defining:
+        for qualname, node in _public_definitions(trees[key]):
+            if node.name in ALLOWED_UNREFERENCED or _is_click_command(node):
+                continue
+            callers = refs.get(("." in qualname, node.name), ())
+            # a recursive call is not a caller
+            if not any(id(node) not in inside for inside in callers):
+                out.append(f"{key}.{qualname}")
     return out
 
 
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
-    trees = {path: ast.parse(path.read_text()) for path in SRC + BENCH}
-    refs: dict[str, list[frozenset]] = {}
-    for tree in trees.values():
-        for name, inside in _references(tree):
-            refs.setdefault(name, []).append(inside)
-    unreferenced = []
-    for path in SRC:
-        for qualname, node in _public_definitions(trees[path]):
-            if node.name in ALLOWED_UNREFERENCED or _is_click_command(node):
-                continue
-            # a recursive call is not a caller
-            if not any(id(node) not in inside for inside in refs.get(node.name, ())):
-                unreferenced.append(f"{path.stem}.{qualname}")
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC + BENCH}
+    unreferenced = _unreferenced(trees, [path.stem for path in SRC])
     assert not unreferenced, (
         f"public names only the tests call: {unreferenced}; delete them or "
         f"move them to tests/support.py"
     )
+
+
+def test_a_name_shared_only_by_locals_is_not_a_caller():
+    source = """
+def helper():
+    pass
+
+
+def used():
+    pass
+
+
+class Box:
+    def column(self):
+        pass
+
+    def size(self, helper):
+        return helper
+
+
+def _run(items):
+    column = len(items)
+    helper = column
+    return helper, used(), Box().size(0)
+"""
+    trees = {"mod": ast.parse(source)}
+    assert _unreferenced(trees, ["mod"]) == ["mod.helper", "mod.Box.column"]
 
 
 def test_allowlist_names_are_defined():

@@ -23,6 +23,8 @@ from trirecom.toolkit import (
 )
 
 from support import (
+    boundary_vertices,
+    district_set,
     is_connected,
     is_cut_vertex,
     is_exposed,
@@ -58,12 +60,12 @@ def test_find_shrink_vertex_matches_reference(pool5):
     for p in pool5[:30]:
         for d in (1, 2, 3):
             for prefer in ((1, 2, 3), (3, 2), (2,)):
-                expected = _shrink_reference(p, p.district_set(d), prefer)
+                expected = _shrink_reference(p, district_set(p, d), prefer)
                 if expected is None:
                     with pytest.raises(NoShrinkVertex):
-                        find_shrink_vertex(p, p.district_set(d), prefer)
+                        find_shrink_vertex(p, p.masks()[d - 1], prefer)
                 else:
-                    got = find_shrink_vertex(p, p.district_set(d), prefer)
+                    got = find_shrink_vertex(p, p.masks()[d - 1], prefer)
                     assert got == expected
                     v, to = got
                     assert flip_valid(unclassified(p), v, to)
@@ -75,11 +77,11 @@ def test_find_shrink_vertex_skips_unexposed():
     region = build_region(5)
     p = ground_state(region, (5, 5, 5), (1, 2, 3))
     unexposed = [
-        v for v in p.district_set(1) if not is_exposed(p, v)
+        v for v in district_set(p, 1) if not is_exposed(p, v)
     ]
     assert unexposed
     with pytest.raises(NoShrinkVertex):
-        find_shrink_vertex(p, unexposed, (2, 3))
+        find_shrink_vertex(p, region.mask_of(unexposed), (2, 3))
 
 
 # -- path_within -----------------------------------------------------------------
@@ -113,8 +115,9 @@ def test_path_within_is_shortest_and_deterministic():
         expected = _bfs_distance(region, vset, src, dst)
         if expected is None:
             continue
-        path = path_within(region, vset, src, dst)
-        assert path == path_within(region, vset, src, dst)
+        m = region.mask_of(vset)
+        path = path_within(region, m, src, dst)
+        assert path == path_within(region, m, src, dst)
         assert path[0] == src and path[-1] == dst
         assert len(path) == expected + 1
         assert all(v in vset for v in path)
@@ -127,9 +130,9 @@ def test_path_within_is_shortest_and_deterministic():
 def test_path_within_errors():
     region = build_region(5)
     with pytest.raises(StructuralError):
-        path_within(region, {(1, 1)}, (1, 1), (2, 1))
+        path_within(region, region.mask_of({(1, 1)}), (1, 1), (2, 1))
     with pytest.raises(StructuralError):
-        path_within(region, {(1, 1), (3, 1)}, (1, 1), (3, 1))
+        path_within(region, region.mask_of({(1, 1), (3, 1)}), (1, 1), (3, 1))
 
 
 # -- vertices_enclosed -----------------------------------------------------------
@@ -139,13 +142,15 @@ def test_vertices_enclosed_region_boundary():
     for n in (4, 5, 6, 8):
         region = build_region(n)
         inside = vertices_enclosed(region, region.boundary_cycle())
-        assert inside == region.vertex_set - region.boundary
+        assert inside == region.mask_of(
+            region.vertex_set - boundary_vertices(region)
+        )
 
 
 def test_vertices_enclosed_small_cycles():
     region = build_region(5)
     # one face encloses nothing
-    assert vertices_enclosed(region, region.faces[0]) == frozenset()
+    assert vertices_enclosed(region, region.faces[0]) == 0
     # the hexagon around an interior vertex encloses exactly that vertex
     center = (3, 2)
     hexagon = [
@@ -160,7 +165,7 @@ def test_vertices_enclosed_small_cycles():
         )
         ring.append(nxt)
         remaining.discard(nxt)
-    assert vertices_enclosed(region, ring) == frozenset({center})
+    assert vertices_enclosed(region, ring) == region.bit_of[center]
 
 
 def test_vertices_enclosed_rejects_broken_cycles():
@@ -178,7 +183,7 @@ def test_bfs_last_order_prefixes_stay_connected():
     for _ in range(200):
         vset = random_connected_subset(region, rng, region.num_vertices)
         root = sorted(vset)[rng.randrange(len(vset))]
-        order = bfs_last_order(region, vset, root)
+        order = bfs_last_order(region, region.mask_of(vset), root)
         assert order[0] == root
         assert set(order) == set(vset)
         for cut in range(1, len(order) + 1):
@@ -192,15 +197,15 @@ def test_bfs_last_order_prefixes_stay_connected():
 
 def test_bfs_last_order_first_child_and_errors():
     region = build_region(5)
-    vset = {(1, 1), (2, 1), (2, 2), (3, 2)}
-    order = bfs_last_order(region, vset, (1, 1), first_child=(2, 2))
+    m = region.mask_of({(1, 1), (2, 1), (2, 2), (3, 2)})
+    order = bfs_last_order(region, m, (1, 1), first_child=(2, 2))
     assert order[:2] == [(1, 1), (2, 2)]
     with pytest.raises(StructuralError):
-        bfs_last_order(region, vset, (4, 4))
+        bfs_last_order(region, m, (4, 4))
     with pytest.raises(StructuralError):
-        bfs_last_order(region, vset, (1, 1), first_child=(3, 2))
+        bfs_last_order(region, m, (1, 1), first_child=(3, 2))
     with pytest.raises(StructuralError):
-        bfs_last_order(region, {(1, 1), (3, 1)}, (1, 1))
+        bfs_last_order(region, region.mask_of({(1, 1), (3, 1)}), (1, 1))
 
 
 # -- cycle recombination ---------------------------------------------------------
@@ -226,7 +231,7 @@ def test_cycle_recombine_swaps_the_interior():
     region, ring, p = _ring_partition()
     q, step = cycle_recombine(p, ring, x=(3, 2), y=(3, 3))
     assert step.untouched == 3
-    assert q.district_set(3) == p.district_set(3)
+    assert q.masks()[2] == p.masks()[2]
     assert q.sizes() == p.sizes()
     changed = {
         v
@@ -349,10 +354,13 @@ def _unwind_instance():
     return p
 
 
+def _arms(p, s1, s2):
+    return p.region.mask_of(s1), p.region.mask_of(s2)
+
+
 def test_unwind_reaches_balance():
     p = _unwind_instance()
-    s1 = {(4, 1), (4, 2)}
-    s2 = {(5, 4), (5, 5)}
+    s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
     q, steps, outcome = unwind(p, s1, s2, 1, 2, 3)
     assert outcome == "balanced"
     assert q.sizes() == (7, 7, 7)
@@ -363,9 +371,8 @@ def test_unwind_reaches_balance():
 
 def test_unwind_respects_protected_vertex():
     p = _unwind_instance()
-    q, steps, outcome = unwind(
-        p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)}, 1, 2, 3, protected=(5, 4)
-    )
+    s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
+    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, protected=(5, 4))
     assert outcome == "balanced"
     assert q.district((5, 4)) == p.district((5, 4))
 
@@ -373,8 +380,9 @@ def test_unwind_respects_protected_vertex():
 def test_unwind_rejects_adjacent_arms_and_mismatched_districts():
     p = _unwind_instance()
     with pytest.raises(StructuralError):
-        unwind(p, {(4, 1), (4, 2)}, {(5, 1)}, 1, 2, 3)  # arms touch
+        unwind(p, *_arms(p, {(4, 1), (4, 2)}, {(5, 1)}), 1, 2, 3)  # arms touch
     with pytest.raises(StructuralError):
-        unwind(p, {(5, 4)}, {(5, 5)}, 1, 2, 3)  # s1 not in district 1
+        # s1 not in district 1
+        unwind(p, *_arms(p, {(5, 4)}, {(5, 5)}), 1, 2, 3)
     with pytest.raises(StructuralError):
-        unwind(p, set(), {(5, 4)}, 1, 2, 3)
+        unwind(p, *_arms(p, set(), {(5, 4)}), 1, 2, 3)
