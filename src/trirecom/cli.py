@@ -120,15 +120,26 @@ def _load_json(filename: str) -> dict:
     return obj
 
 
+def _is_int(x) -> bool:
+    # a JSON integer: not a float such as 1.0, and not true or false, which
+    # json loads as bool, a subclass of int
+    return type(x) is int
+
+
+def _is_district(x) -> bool:
+    return _is_int(x) and 1 <= x <= 3
+
+
 def _obj_instance(obj: dict, filename: str) -> tuple[TriRegion, Targets]:
-    try:
-        n = int(obj["n"])
-        targets = tuple(int(k) for k in obj["k"])
-    except (KeyError, TypeError, ValueError):
+    n, k = obj.get("n"), obj.get("k")
+    if not _is_int(n) or not isinstance(k, list) or not all(map(_is_int, k)):
         raise DomainFailure(f"{filename}: missing or malformed 'n' / 'k' header")
-    if len(targets) != 3:
+    if len(k) != 3:
         raise DomainFailure(f"{filename}: 'k' must list three targets")
-    return build_region(n), targets
+    try:
+        return build_region(n), tuple(k)
+    except ValueError as exc:
+        raise DomainFailure(f"{filename}: {exc}")
 
 
 def _obj_labels(obj: dict, key: str, region: TriRegion, filename: str):
@@ -136,7 +147,7 @@ def _obj_labels(obj: dict, key: str, region: TriRegion, filename: str):
     if (
         not isinstance(labels, list)
         or len(labels) != region.num_vertices
-        or any(d not in (1, 2, 3) for d in labels)
+        or not all(map(_is_district, labels))
     ):
         raise DomainFailure(
             f"{filename}: '{key}' must list one district in 1..3 per vertex"
@@ -159,7 +170,7 @@ def load_trace(filename: str) -> tuple[Partition, Trace]:
         raise DomainFailure(f"{filename}: 'steps' must be a list")
     steps = []
     for idx, raw in enumerate(raw_steps):
-        if not isinstance(raw, dict) or raw.get("untouched") not in (1, 2, 3):
+        if not isinstance(raw, dict) or not _is_district(raw.get("untouched")):
             raise DomainFailure(f"{filename}: step {idx} is malformed")
         after = _obj_labels(raw, "after", region, f"{filename} step {idx}")
         steps.append(RecomStep(raw["untouched"], after, str(raw.get("note", ""))))

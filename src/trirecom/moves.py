@@ -7,17 +7,17 @@ connected.  flip_valid answers for any partition: on one known valid (its
 carried validity, see partition) it is the local test, and otherwise it
 recomputes the simple connectivity of both changed districts.
 
-Applying a step carries validity forward where it is proved.  apply_flip
+Applying a flip carries validity forward where it is proved.  apply_flip
 derives the flipped state from its parent (one label, two mask updates, see
 partition.Partition._derived) and, on a valid parent, stores the local
-test's answer on it: the
-untouched district is unchanged and the local test decides the two changed
-ones exactly, so a failing flip stores False.  apply_recom on a valid parent
-flood-fills only the two districts the step changes, since it has just
-checked that the third is unchanged.  A flip walk from a state of unknown
-validity therefore pays whole-district flood fills only until its first
-accepted step is classified; a walk from a block state (partition.ground_state
-knows it valid) and a tower from a valid state pay none.
+test's answer on it: the untouched district is unchanged and the local test
+decides the two changed ones exactly, so a failing flip stores False.  A
+flip walk from a state of unknown validity therefore pays whole-district
+flood fills only until its first accepted step is classified; a walk from a
+block state (partition.ground_state knows it valid) and a tower from a
+valid state pay none.  A recombination step is recorded as the partition
+it reaches (see pathfinder._Builder.extend); RecomStep is its form in a
+trace.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lattice import ONE_ARC, Vertex
-from .partition import (
-    BalanceClass,
-    Partition,
-    _simply_connected_mask,
-    classify,
-)
+from .partition import Partition, _simply_connected_mask
 
 
 @dataclass(frozen=True)
@@ -137,27 +132,6 @@ def untouched_of_flip(frm: int, to: int) -> int:
     """The district a flip from district frm to district to leaves alone
     (frm != to)."""
     return 6 - frm - to
-
-
-def apply_recom(p: Partition, step: RecomStep) -> Partition:
-    """Apply a recombination step, validating the untouched district and the
-    resulting state.  From a partition known valid only the two districts
-    the step changes are flood-filled."""
-    q = p.with_labels(step.after)
-    d = step.untouched - 1
-    masks = q.masks()
-    if masks[d] != p.masks()[d]:
-        raise ValueError("recombination step changes its untouched district")
-    if q.labels == p.labels:
-        raise ValueError("recombination step must change the partition")
-    if p._valid:
-        w = q.region.width
-        q._valid = all(
-            _simply_connected_mask(m, w) for i, m in enumerate(masks) if i != d
-        )
-    if classify(q) is BalanceClass.OUTSIDE_OMEGA:
-        raise ValueError("recombination step leaves Omega")
-    return q
 
 
 def reverse(step: RecomStep, before: tuple[int, ...]) -> RecomStep:

@@ -32,10 +32,10 @@ unknown) is written by is_valid, which flood-fills the three masks, and by a
 derivation only where the answer is proved: relabeled and permuted keep it
 (a relabeling or lattice symmetry keeps every district's shape),
 moves.apply_flip sets it from the local flip test on a valid parent, where
-that test is exact, moves.apply_recom from flood fills of the two districts
-a step changes on a valid parent, and enumeration (oracle._partition) and
-verify_trace's final state set it to True, every district having passed the
-flood fill.  ground_state sets it to True as well: each block is a run of
+that test is exact, pathfinder._Builder.extend from flood fills of the two
+districts a step changes from the builder's valid state, and enumeration
+(oracle._partition) and verify_trace's final state set it to True, every
+district having passed the flood fill.  ground_state sets it to True as well: each block is a run of
 at least n vertices in column order, connected and enclosing nothing (see
 ground_state).  The constructor, with_moves and with_labels leave it unknown.
 classify caches the balance class, is its only writer, reads validity

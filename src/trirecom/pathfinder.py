@@ -7,21 +7,24 @@ districts 2 and 3 meet the boundary, and finally shuffling districts 2 and 3
 into block position.  Two such routes are joined through the block states.
 
 Each step is validated once, when it is emitted, in the frame of the
-procedure that made it, then recorded in root labels.  The builder's
-partition is always a valid state and carries that answer (see partition):
-a flip is applied by moves.apply_flip, which stores the local neighborhood
-test's exact answer on the flipped state, so the builder reads it and checks
-only the new state's size window; multi-vertex steps go through apply_recom,
-which flood-fills the two districts a step changes.  Frames keep the answer,
-since relabeled and permuted carry it.  Candidate scans and flip guards on
-the builder's state use the local test too, and so does moves.flip_valid on
-the flip trial of a speculative state in _interior_valid and inside
-toolkit's tower construction: each of those states comes from the
-builder's by apply_flip and so is known valid or known invalid, and
-flip_valid recomputes both districts on any state not known valid.  Frames,
-flips and steps derive their partitions through partition's private
-constructor for derived states, which skips the checks the parent passed;
-path reverses its second half from label tuples alone.
+procedure that made it, then recorded in root labels.  A step is the
+partition it reaches: a flip's from moves.apply_flip, or a state that
+toolkit's towers, unwindings and cycle recombinations or the block finish
+built, which _Builder.extend records, reading the untouched district off the
+one unchanged mask.  The builder's partition is always a valid state and
+carries that answer (see partition), as every flip state does: apply_flip
+stores the local neighborhood test's exact answer on a flip from a valid
+state, so the builder checks only the frozen vertices and the size window,
+and flood-fills the two changed districts of a multi-vertex state only.
+Frames keep the answer, since relabeled and permuted carry it.  Candidate
+scans and flip guards on the builder's state use the local test too, and so
+does moves.flip_valid on the flip trial of a speculative state in
+_interior_valid and inside toolkit's tower construction: each of those
+states comes from the builder's by apply_flip and so is known valid or known
+invalid, and flip_valid recomputes both districts on any state not known
+valid.  Frames, flips and steps derive their partitions through partition's
+private constructor for derived states, which skips the checks the parent
+passed; path reverses its second half from label tuples alone.
 
 verify_trace re-checks every returned route from labels alone, on bare
 bitboards: each state becomes three district masks, its size window is read
@@ -64,7 +67,6 @@ from .lattice import OUTSIDE, TriRegion, Vertex, ordering_index
 from .moves import (
     RecomStep,
     apply_flip,
-    apply_recom,
     flip_valid,
     neighborhood_flip_test,
     reverse,
@@ -192,16 +194,33 @@ class _Builder:
             raise PathError(note, f"flip {v} -> {to} leaves the window")
         self._record(q, untouched_of_flip(frm, to), note)
 
-    def extend(self, steps) -> None:
-        for step in steps:
-            q = apply_recom(self.p, step)
+    def extend(self, states, note: str) -> None:
+        """Record each state as one recombination step from the one before
+        it: the district whose mask is unchanged is the untouched one.  A
+        state that does not carry its validity gets its two changed
+        districts flood-filled; self.p is valid, so the third is too."""
+        for q in states:
+            old, new = self.p.masks(), q.masks()
+            kept = [d for d in (0, 1, 2) if old[d] == new[d]]
+            if len(kept) != 1:
+                raise PathError(note, "step is not a recombination of two districts")
             moved = 0
-            for a, b in zip(q.masks(), self.p.masks()):
+            for a, b in zip(new, old):
                 moved |= (a ^ b) & self.frozen
             if moved:
                 v = q.region.vertex_at[(moved & -moved).bit_length() - 1]
-                raise PathError(step.note, f"step reassigns frozen vertex {v}")
-            self._record(q, step.untouched, step.note)
+                raise PathError(note, f"step reassigns frozen vertex {v}")
+            d = kept[0]
+            if q._valid is None:
+                w = q.region.width
+                q._valid = all(
+                    _simply_connected_mask(m, w) for i, m in enumerate(new) if i != d
+                )
+            if not q._valid:
+                raise PathError(note, "step breaks a district")
+            if not in_window(q):
+                raise PathError(note, "step leaves the window")
+            self._record(q, d + 1, note)
 
     def balanced(self) -> bool:
         return self.p.sizes() == self.p.targets
@@ -484,8 +503,7 @@ def _advance_pair(b: _Builder, i: int, w: Vertex, v: Vertex) -> None:
     if p.district(x) != 1:
         raise PathError("column-advance/tower", f"tower top {x} not in district 1")
     tower, v_next = build_tower(p, x, v)
-    _, steps = execute_tower(p, tower, v_next, note="tower")
-    b.extend(steps)
+    b.extend(execute_tower(p, tower, v_next), "tower")
 
 
 # -- rebalancing: dispatch --------------------------------------------------------
@@ -677,8 +695,8 @@ def _case_a_invalid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
             raise PathError("boundary-pair/d1-discon", "forced labels absent")
         s1 = _arm(p, 1, d, f)
         s2 = _arm(p, 2, a, e)
-    q, steps, outcome = unwind(b.p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(b.p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -922,8 +940,8 @@ def _interior_split_left(
     )
     if s2 is None:
         raise PathError(note, "no opposite-side district-2 arm")
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -960,8 +978,8 @@ def _interior_split_edge(
         s2 = _arm(p, 2, a, f)
     else:
         raise PathError(note, "cut-off component misses both flanks")
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -1009,8 +1027,8 @@ def _interior_split_one(
     if x is None:
         raise PathError(note, "neither inner pivot lies in the arm")
     if s2 & ~bit_of[x]:
-        q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, protected=x, note="unwind")
-        b.extend(steps)
+        states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=x)
+        b.extend(states, "unwind")
         if outcome == "balanced":
             return
         if outcome == "s1-exhausted":
@@ -1088,8 +1106,8 @@ def _interior_split_two(
         s2 = _arm(p, 2, a, f)
     if s1 & region.boundary_mask:
         raise PathError(note, "cut-off arm reaches the boundary")
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s2-exhausted":
@@ -1180,7 +1198,7 @@ def _case_c(b: _Builder, i: int) -> None:
         a = tri.vertex_in(p, 2)
         bbv = tri.vertex_in(p, 3)
         c = tri.vertex_in(p, 1)
-        d, _, _, _, _ = _case_c_anatomy(p, a, bbv, c)
+        d, _, _ = _case_c_anatomy(p, a, bbv, c)
         if not _arm(p, 2, a, d) & region.boundary_mask:
             _case_c_dispatch(b, i, a, bbv, c, 0)
             return
@@ -1190,7 +1208,8 @@ def _case_c(b: _Builder, i: int) -> None:
 def _case_c_anatomy(p: Partition, a: Vertex, bbv: Vertex, c: Vertex):
     """Walk N(a) (a interior) from c away from bbv: the rest of c's
     district-1 run, then the district-2 run (d first, d-prime last), then the
-    district-1 run (e first), then f in district 2."""
+    district-1 run (e first), which a district-2 vertex must follow.
+    Returns (d, d-prime, e)."""
     note = "interior-3"
     region = p.region
     nbrs = region.neighbors_cyclic(a)
@@ -1218,13 +1237,11 @@ def _case_c_anatomy(p: Partition, a: Vertex, bbv: Vertex, c: Vertex):
     if j >= 5 or ds[j] != 1:
         raise PathError(note, "no district-1 run after d around the pivot")
     e = seq[j]
-    e_run = []
     while j < 5 and ds[j] == 1:
-        e_run.append(seq[j])
         j += 1
     if j >= 5 or ds[j] != 2:
         raise PathError(note, "no second district-2 run around the pivot")
-    return d, dprime, e, e_run, seq[j]
+    return d, dprime, e
 
 
 def _case_c_abd(b: _Builder, i: int, a: Vertex, bbv: Vertex, c: Vertex) -> None:
@@ -1257,8 +1274,8 @@ def _case_c_abd(b: _Builder, i: int, a: Vertex, bbv: Vertex, c: Vertex) -> None:
     away = [s for s in region.components(_without(p, 2, a)) if not s & on_q2]
     if len(away) != 1:
         raise PathError(note, f"expected one off-path arm, got {len(away)}")
-    q, steps, outcome = unwind(p, s1, away[0], 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, away[0], 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -1278,7 +1295,7 @@ def _case_c_dispatch(
     region = p.region
     if depth > 8:
         raise PathError(note, "goal recursion exceeded its bound")
-    d, dprime, e, e_run, f = _case_c_anatomy(p, a, bbv, c)
+    d, dprime, e = _case_c_anatomy(p, a, bbv, c)
     bit_of = region.bit_of
     left = region.cols_leq_mask(i)
     if bit_of[e] & left:
@@ -1356,10 +1373,7 @@ def _case_c_ecut(
     if s1 & interior:
         if region.is_boundary(e):
             raise PathError(note, "enclosed arm with a boundary cut vertex")
-        q, step = cycle_recombine(
-            p, cyc, a, e, keep=dprime, note="cycle-recombine"
-        )
-        b.extend([step])
+        b.extend([cycle_recombine(p, cyc, a, e, keep=dprime)], "cycle-recombine")
         if neighborhood_flip_test(b.p, e, 3):
             b.flip(e, 3, note)
             return
@@ -1367,10 +1381,8 @@ def _case_c_ecut(
         _case_c_post(b, i, a, bbv, c, depth)
         return
     if s2 & ~region.bit_of[dprime]:
-        q, steps, outcome = unwind(
-            p, s1, s2, 1, 2, 3, protected=dprime, note="unwind"
-        )
-        b.extend(steps)
+        states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=dprime)
+        b.extend(states, "unwind")
         if outcome == "balanced":
             return
         if outcome == "s1-exhausted":
@@ -1416,7 +1428,7 @@ def _case_c_post(
     if neighborhood_flip_test(p, a, 3):
         b.flip(a, 3, note)
         return
-    d, dbar, ebar, e_run, f = _case_c_anatomy(p, a, bbv, c)
+    d, dbar, _ = _case_c_anatomy(p, a, bbv, c)
     s2 = _arm(p, 2, a, d)
     if s2 & ~region.bit_of[dbar]:
         # the first component inside the arm, in ordering-index order
@@ -1592,8 +1604,8 @@ def _case_d_2a(
     )
     if s2 is None:
         raise PathError(note, "no district-2 arm inside the wedge cycle")
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -1651,8 +1663,8 @@ def _case_d_2b(
         )
         if s2 is None:
             raise PathError(note, "no district-2 arm inside the cycle")
-        q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-        b.extend(steps)
+        states, outcome = unwind(p, s1, s2, 1, 2, 3)
+        b.extend(states, "unwind")
         if outcome == "balanced":
             return
         if districts_adjacent(b.p, 2, 3):
@@ -1669,8 +1681,7 @@ def _case_d_2b(
         return
     if at_a:
         raise PathError(note, "junction component enclosed by the cycle")
-    q, step = cycle_recombine(p, cyc, d, g, note="cycle-recombine")
-    b.extend([step])
+    b.extend([cycle_recombine(p, cyc, d, g)], "cycle-recombine")
     _case_d_2a(b, i, a, bv, d, g)
 
 
@@ -1729,9 +1740,9 @@ def _finish_std(b: _Builder) -> None:
             1 if bit & m1 else (3 if bit & tail else 2) for bit in bits
         )
         if labels != b.p.labels:
-            b.extend([RecomStep(1, labels, "block-shuffle")])
+            b.extend([b.p.with_labels(labels)], "block-shuffle")
         if b.p.labels != sigma:
-            b.extend([RecomStep(3, sigma, "block-finish")])
+            b.extend([b.p.with_labels(sigma)], "block-finish")
         return
     rounds = 0
     while b.p.masks()[0] != first:
@@ -1740,7 +1751,7 @@ def _finish_std(b: _Builder) -> None:
             raise PathError("block-finish", "no progress in column rounds")
         _ground_round(b, i)
     if b.p.labels != sigma:
-        b.extend([RecomStep(1, sigma, "block-finish")])
+        b.extend([b.p.with_labels(sigma)], "block-finish")
 
 
 def _free_mask(region: TriRegion, m1: int, i: int) -> int:
@@ -1782,11 +1793,11 @@ def _ground_round(b: _Builder, i: int) -> None:
         1 if bit & m1 else (2 if bit & new2_mask else 3) for bit in region.bits
     )
     if labels != p.labels:
-        b.extend([RecomStep(1, labels, "block-shuffle")])
+        b.extend([b.p.with_labels(labels)], "block-shuffle")
     after = list(b.p.labels)
     after[region.index_of[v]] = 1
     after[region.index_of[w]] = 2
-    b.extend([RecomStep(3, tuple(after), "column-swap")])
+    b.extend([b.p.with_labels(tuple(after))], "column-swap")
 
 
 # -- nearly balanced repair -----------------------------------------------------------
@@ -1940,8 +1951,8 @@ def _nb_junction_wedge(b: _Builder, a: Vertex, seq, depth: int) -> None:
             raise PathError(note, "forced split-wedge labels absent")
         s_i = _arm(p, 1, a, e)
         s_j = _arm(p, 2, d, f)
-    q, steps, outcome = unwind(p, s_i, s_j, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s_i, s_j, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":
@@ -2094,8 +2105,7 @@ def _nb_cmach(
         raise PathError(note, "cut components of the settled pivot not binary")
     s2 = away[0]
     if s2 & interior:
-        q, step = cycle_recombine(p, cycp, av, cv, note="cycle-recombine")
-        b.extend([step])
+        b.extend([cycle_recombine(p, cycp, av, cv)], "cycle-recombine")
         b.flip(cv, 3, note)
         inside2 = [
             s for s in region.components(_without(b.p, 1, av)) if s & interior
@@ -2105,8 +2115,8 @@ def _nb_cmach(
         v, _ = find_shrink_vertex(b.p, inside2[0], (2,))
         b.flip(v, 2, note)
         return
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, note="unwind")
-    b.extend(steps)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    b.extend(states, "unwind")
     if outcome == "balanced":
         return
     if outcome == "s1-exhausted":

@@ -2,8 +2,11 @@
 unwinding two non-adjacent arms, BFS-last orderings, cycle recombination,
 towers, and exact cycle-interior computation.
 
-Every procedure validates each move it emits; a violated structural
-guarantee raises StructuralError rather than producing an unverified step.
+Every procedure validates each move it makes; a violated structural
+guarantee raises StructuralError rather than producing an unverified state.
+A step is a partition: cycle_recombine returns the one it reaches, and
+execute_tower and unwind the one after each flip, which the route builder
+records as they are (pathfinder._Builder.extend).
 
 Vertex sets come in and go out as bitboards (lattice.TriRegion.bit_of):
 find_shrink_vertex and unwind take candidate and arm bitboards,
@@ -18,8 +21,9 @@ checked flips.  Tower resolution and the paired flip of an unwinding round
 check each flip by applying it once (_checked_flip): from a state known
 valid, moves.apply_flip carries the local test's exact answer to the
 flipped state, and that answer is the check, so every checked intermediate
-state is known valid; only on a start state whose validity is unknown does
-flip_valid recompute both changed districts first.
+state is known valid and the builder need not check it again; only on a
+start state whose validity is unknown does flip_valid recompute both
+changed districts first.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 
 from .lattice import ONE_ARC, OUTSIDE, TriRegion, Vertex, ordering_index
-from .moves import RecomStep, apply_flip, flip_valid, untouched_of_flip
+from .moves import apply_flip, flip_valid
 from .partition import Partition
 
 
@@ -52,7 +56,7 @@ def shrink_flips(p: Partition, cands: int, prefer: tuple[int, ...]):
     connected."""
     region = p.region
     masks = p.masks()
-    m1, m2, m3 = masks
+    m1, m2, _ = masks
     full = region.full_mask
     exposed = 0
     for m in masks:
@@ -207,9 +211,9 @@ def cycle_recombine(
     x: Vertex,
     y: Vertex,
     keep: Vertex | None = None,
-    note: str = "cycle-recombine",
-) -> tuple[Partition, RecomStep]:
-    """One recombination step rearranging the interior of `cycle`.
+) -> Partition:
+    """One recombination step rearranging the interior of `cycle`: the
+    partition it reaches.
 
     The cycle lies in one district except for x; y is a cycle neighbor of x
     whose in-or-inside neighborhood meets x's district disconnectedly.  The
@@ -254,8 +258,7 @@ def cycle_recombine(
             moves.append((v, nd))
     if not moves:
         raise StructuralError("cycle recombination must change the interior")
-    q = p.with_moves(moves)
-    return q, RecomStep(untouched, q.labels, note)
+    return p.with_moves(moves)
 
 
 # -- towers -------------------------------------------------------------------
@@ -270,19 +273,6 @@ def _checked_flip(p: Partition, v: Vertex, to: int) -> Partition | None:
         q = apply_flip(p, v, to)
         return q if q._valid else None
     return apply_flip(p, v, to) if flip_valid(p, v, to) else None
-
-
-def _flip(
-    p: Partition, v: Vertex, to: int, note: str, steps: list[RecomStep],
-    q: Partition | None = None,
-) -> Partition:
-    """Append the flip of v into district `to` to `steps` as a
-    recombination step and return the flipped partition: q when the caller
-    has applied the flip already, else apply_flip's."""
-    if q is None:
-        q = apply_flip(p, v, to)
-    steps.append(RecomStep(untouched_of_flip(p.district(v), to), q.labels, note))
-    return q
 
 
 def build_tower(p: Partition, v1: Vertex, v2: Vertex) -> tuple[list[Vertex], Vertex]:
@@ -313,24 +303,24 @@ def build_tower(p: Partition, v1: Vertex, v2: Vertex) -> tuple[list[Vertex], Ver
 
 
 def execute_tower(
-    p: Partition, tower: list[Vertex], v_next: Vertex, note: str = "tower"
-) -> tuple[Partition, list[RecomStep]]:
+    p: Partition, tower: list[Vertex], v_next: Vertex
+) -> list[Partition]:
     """Resolve a tower bottom-up: flip the vertex past the bottom into the
     bottom's district, then each tower vertex into the district above it,
-    ending with the second vertex joining the top's district.  Net effect:
-    the top's district grows by one, v_next's original district shrinks by
-    one."""
+    ending with the second vertex joining the top's district.  Returns the
+    partition after each flip.  Net effect: the top's district grows by one,
+    v_next's original district shrinks by one."""
     cur = p
-    steps = []
+    states = []
     chain = tower + [v_next]
     for i in range(len(chain) - 1, 0, -1):
         v = chain[i]
         target = cur.district(chain[i - 1])
-        q = _checked_flip(cur, v, target)
-        if q is None:
+        cur = _checked_flip(cur, v, target)
+        if cur is None:
             raise StructuralError(f"tower flip {v} -> {target} invalid")
-        cur = _flip(cur, v, target, note, steps, q)
-    return cur, steps
+        states.append(cur)
+    return states
 
 
 # -- unwinding ----------------------------------------------------------------
@@ -344,8 +334,7 @@ def unwind(
     d2: int,
     d3: int,
     protected: Vertex | None = None,
-    note: str = "unwind",
-) -> tuple[Partition, list[RecomStep], str]:
+) -> tuple[list[Partition], str]:
     """Alternately shrink two non-adjacent arms, given as bitboards: s1
     inside district d1 (one above target) and s2 inside district d2 (at
     target), with d3 one below target.  Each round flips one s1 vertex out
@@ -353,12 +342,12 @@ def unwind(
     balance.  `protected`, if given, is an s2 vertex that is never
     reassigned.
 
-    Returns (partition, steps, outcome) with outcome 'balanced',
-    's1-exhausted' (all of s1 moved to d2), or 's2-exhausted' (all of s2 but
-    the protected vertex moved to d1); the latter two keep d1 oversized and
-    d3 undersized."""
+    Returns (states, outcome): the partition after each flip, and outcome
+    'balanced', 's1-exhausted' (all of s1 moved to d2), or 's2-exhausted'
+    (all of s2 but the protected vertex moved to d1); the latter two keep d1
+    oversized and d3 undersized."""
     cur = p
-    steps: list[RecomStep] = []
+    states: list[Partition] = []
     region = p.region
     bit_of = region.bit_of
     masks = p.masks()
@@ -374,19 +363,20 @@ def unwind(
     while True:
         v1, to1 = find_shrink_vertex(cur, s1, (d3, d2))
         if to1 == d3:
-            cur = _flip(cur, v1, d3, note, steps)
-            return cur, steps, "balanced"
+            states.append(apply_flip(cur, v1, d3))
+            return states, "balanced"
         v2, to2 = find_shrink_vertex(cur, s2, (d3, d1))
-        cur = _flip(cur, v1, d2, note, steps)
+        cur = apply_flip(cur, v1, d2)
+        states.append(cur)
         s1 &= ~bit_of[v1]
-        q = _checked_flip(cur, v2, to2)
-        if q is None:
+        cur = _checked_flip(cur, v2, to2)
+        if cur is None:
             raise StructuralError("arm flip invalidated by the paired flip")
-        cur = _flip(cur, v2, to2, note, steps, q)
+        states.append(cur)
         if to2 == d3:
-            return cur, steps, "balanced"
+            return states, "balanced"
         s2 &= ~bit_of[v2]
         if not s1:
-            return cur, steps, "s1-exhausted"
+            return states, "s1-exhausted"
         if not s2:
-            return cur, steps, "s2-exhausted"
+            return states, "s2-exhausted"

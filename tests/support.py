@@ -6,10 +6,11 @@ states rebuilt from their labels, simply connected subsets and the window by
 filtering every labelling, tricolor triangles (a scan over every face), the
 route builder's vertex-set scans that now run on bitboards (removable
 vertices, rebalance case dispatch, district adjacency, first open column),
-and trace verification (one classified Partition per state).  The program
-holds vertex sets only as bitboards; the frozenset views here (districts,
-components by breadth-first search, the boundary and the columns) are the
-references its bitboard answers are compared with."""
+the replay of a trace step from labels, and trace verification (one
+classified Partition per state).  The program holds vertex sets only as
+bitboards; the frozenset views here (districts, components by breadth-first
+search, the boundary and the columns) are the references its bitboard answers
+are compared with."""
 
 from __future__ import annotations
 
@@ -316,6 +317,33 @@ def lift_flip(p: Partition, v, to: int, note: str = "") -> RecomStep:
     """The flip expressed as a recombination step from p."""
     q = apply_flip(p, v, to)
     return RecomStep(untouched_of_flip(p.district(v), to), q.labels, note)
+
+
+def first_window_flip(p: Partition):
+    """(vertex, target) of the first valid flip of p, in vertex order, that
+    stays in the window."""
+    for v in p.region.vertices:
+        for to in (1, 2, 3):
+            if flip_valid(p, v, to) and in_omega(apply_flip(p, v, to)):
+                return v, to
+    raise AssertionError("no valid flip")
+
+
+def apply_recom(p: Partition, step: RecomStep) -> Partition:
+    """Replay a trace step from labels: the state with the step's labels,
+    classified from scratch, after checking that the step changes p, keeps
+    its declared untouched district and stays in the window (ValueError
+    otherwise).  The reference for replaying routes; the route builder
+    records the partitions it built instead (pathfinder._Builder.extend)."""
+    q = p.with_labels(step.after)
+    d = step.untouched - 1
+    if q.masks()[d] != p.masks()[d]:
+        raise ValueError("recombination step changes its untouched district")
+    if q.labels == p.labels:
+        raise ValueError("recombination step must change the partition")
+    if classify(q) is BalanceClass.OUTSIDE_OMEGA:
+        raise ValueError("recombination step leaves Omega")
+    return q
 
 
 def balanced_targets(n: int) -> tuple[int, int, int]:

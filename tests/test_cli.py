@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from trirecom import Partition, Trace, build_region, ground_state, verify_trace
+from trirecom import Partition, Trace, build_region, ground_state, path, verify_trace
 from trirecom.cli import dump_obj, load_trace, main, state_to_obj, trace_to_obj
 
 
@@ -101,6 +101,22 @@ def test_path_domain_failures(runner, tmp_path):
                "--ground", "213"]
     )
     assert result.exit_code == 1
+    # numbers that are not JSON integers: 1.0 and true for a label, 5.7 for
+    # n; and a side below the region's minimum
+    good = state_to_obj(p)
+    for key, value, message in (
+        ("labels", [1.0] + good["labels"][1:], "'labels' must list one district"),
+        ("labels", [True] + good["labels"][1:], "'labels' must list one district"),
+        ("n", 5.7, "malformed 'n' / 'k' header"),
+        ("n", 2, "side length must be >= 3"),
+    ):
+        bad.write_text(json.dumps({**good, key: value}))
+        result = runner.invoke(
+            main, ["path", "--n", "5", "--k", "5,5,5", "--from", f, "--ground", "123"]
+        )
+        assert result.exit_code == 1, (key, value)
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_usage_errors_exit_2(runner):
@@ -153,6 +169,31 @@ def test_verify_rejects_malformed_files(runner, tmp_path):
     assert runner.invoke(main, ["verify", "--trace", str(f)]).exit_code == 1
     f.write_text(json.dumps({"n": 5, "k": [5, 5, 5], "steps": []}))
     assert runner.invoke(main, ["verify", "--trace", str(f)]).exit_code == 1
+    # numbers that are not JSON integers, in the header, the source, a
+    # step's labels and a step's untouched district; and a side below the
+    # region's minimum
+    p = ground_state(build_region(5), (5, 5, 5), (1, 2, 3))
+    q = ground_state(build_region(5), (5, 5, 5), (2, 1, 3))
+    good = trace_to_obj(p, path(p, q))
+    step = good["steps"][0]
+    for bad, message in (
+        ({**good, "n": 5.0}, "malformed 'n' / 'k' header"),
+        ({**good, "n": 2}, "side length must be >= 3"),
+        ({**good, "k": [5, 5.0, 5]}, "malformed 'n' / 'k' header"),
+        ({**good, "k": [5, True, 5]}, "malformed 'n' / 'k' header"),
+        ({**good, "source": [1.0] + good["source"][1:]}, "'source' must list"),
+        (
+            {**good, "steps": [{**step, "after": [2.0] + step["after"][1:]}]},
+            "'after' must list",
+        ),
+        ({**good, "steps": [{**step, "untouched": True}]}, "step 0 is malformed"),
+        ({**good, "steps": [{**step, "untouched": 3.0}]}, "step 0 is malformed"),
+    ):
+        f.write_text(json.dumps(bad))
+        result = runner.invoke(main, ["verify", "--trace", str(f)])
+        assert result.exit_code == 1, bad
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_enumerate_counts(runner, tmp_path):

@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from trirecom import Partition, PathError, Trace, build_region, path, verify_trace
-from trirecom.moves import RecomStep, apply_recom
+from trirecom.moves import RecomStep
 from trirecom.partition import in_omega, is_valid
+from trirecom.pathfinder import _Builder
 
 from support import random_omega_state, verify_trace_reference
 
@@ -100,34 +101,35 @@ def test_golden_digests_unchanged(name):
     assert not moved, "golden digests moved: " + ", ".join(moved)
 
 
-def test_apply_recom_carries_validity_along_golden_routes():
-    # the first routed pairs of each group, raw and compressed: every state
-    # apply_recom reaches from a valid one carries the validity a fresh
-    # check finds
-    routes = steps = 0
-    for n, targets, attempts, _ in GROUPS:
+def test_recorded_states_carry_their_validity_along_golden_routes(monkeypatch):
+    # every state the route builder records on the corpus routes carries the
+    # validity a fresh check finds on a copy built from its labels: the
+    # flips' carried answers, the tower and unwinding states toolkit built,
+    # and the label-only block steps, whose two changed districts the
+    # builder flood-fills
+    recorded = []
+    record = _Builder._record
+
+    def spy(self, q, untouched, note):
+        recorded.append((q, note))
+        record(self, q, untouched, note)
+
+    monkeypatch.setattr(_Builder, "_record", spy)
+    for n, targets, attempts, count in GROUPS:
         region = build_region(n)
-        for i in range(3):
-            if routes == 20:
-                break
+        for i in range(count):
             rng = random.Random(1000 * n + 17 * attempts + i)
             sigma = random_omega_state(region, targets, rng, attempts)
             tau = random_omega_state(region, targets, rng, attempts)
             try:
-                traces = [path(sigma, tau, compress=False), path(sigma, tau)]
+                path(sigma, tau)
             except PathError:
-                continue
-            routes += 1
-            for trace in traces:
-                cur = sigma
-                assert cur._valid is True
-                for step in trace.steps:
-                    q = apply_recom(cur, step)
-                    assert q._valid is is_valid(Partition(region, targets, q.labels))
-                    cur = q
-                    steps += 1
-                assert cur.labels == tau.labels
-    assert routes == 20 and steps > 200
+                pass
+    for q, _ in recorded:
+        assert q._valid is is_valid(Partition(q.region, q.targets, q.labels)) is True
+    notes = {note for _, note in recorded}
+    assert {"tower", "unwind", "block-shuffle", "block-finish", "column-swap"} <= notes
+    assert len(recorded) > 3000
 
 
 @pytest.fixture(scope="module")

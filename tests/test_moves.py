@@ -15,17 +15,19 @@ from trirecom import (
 )
 from trirecom.moves import (
     RecomStep,
-    apply_recom,
     neighborhood_flip_test,
     reverse,
     untouched_of_flip,
 )
 from trirecom.partition import BalanceClass, classify, in_window, is_valid
+from trirecom.pathfinder import _Builder
 
 from support import (
+    apply_recom,
     balanced_targets,
     bfs_is_simply_connected,
     district_set,
+    first_window_flip,
     lift_flip,
     random_omega_state,
     recom_valid,
@@ -301,35 +303,65 @@ def test_recom_valid_rejects_identity_and_mismatched_instances(pool5):
         )
 
 
-def test_apply_recom_validates_structure(pool5):
+def _refusal(b, states):
+    """The text of the builder's refusal to record `states`; the failed
+    attempt leaves its steps and partition as they were."""
+    steps, state = list(b.steps), b.p
+    err = b.attempt(lambda sub: sub.extend(states, "check"))
+    assert err is not None
+    assert b.steps == steps and b.p is state
+    return str(err)
+
+
+_NOT_A_STEP = "check: step is not a recombination of two districts"
+
+
+def test_builder_extend_validates_structure(pool5):
     p = pool5[0]
-    with pytest.raises(ValueError):
-        apply_recom(p, RecomStep(1, p.labels, ""))  # identity step
-    # a step that claims district 1 untouched but changes it
-    v = sorted(district_set(p, 1))[0]
-    to = 2 if p.district(v) != 2 else 3
-    q_labels = p.with_moves([(v, to)]).labels
-    with pytest.raises(ValueError):
-        apply_recom(p, RecomStep(1, q_labels, ""))
+    b = _Builder(p)
+    assert _refusal(b, [p.with_labels(p.labels)]) == _NOT_A_STEP
+    # a cyclic relabeling moves every vertex, so no district is untouched
+    rotated = p.with_labels(tuple(d % 3 + 1 for d in p.labels))
+    assert _refusal(b, [rotated]) == _NOT_A_STEP
+    v, to = first_window_flip(p)
+    q = apply_flip(p, v, to)
+    frozen = _Builder(p, frozen=p.region.bit_of[v])
+    assert _refusal(frozen, [q]) == f"check: step reassigns frozen vertex {v}"
+    # a later state's refusal drops the steps recorded before it as well
+    assert _refusal(b, [q, q]) == _NOT_A_STEP
+    # an accepted state is recorded with the one unchanged district
+    b.extend([q], "check")
+    assert b.p is q
+    assert b.steps == [RecomStep(untouched_of_flip(p.district(v), to), q.labels)]
+    assert b.steps[0].note == "check"
 
 
-def test_apply_recom_rejects_steps_that_break_a_district(pool5):
-    # in-window flips that break a district, applied as recombination steps
-    # from states known valid, which check only the two changed districts
-    rejected = 0
+def test_builder_extend_rejects_states_that_break_a_district(pool5):
+    # in-window flips that break a district, as the flipped state carrying
+    # its validity and as a copy of unknown validity, on which the builder
+    # flood-fills only the two changed districts; and valid flips that leave
+    # the window
+    broken = left = 0
     for p in pool5[:10]:
         assert is_valid(p)
         full = unclassified(p)
+        b = _Builder(p)
         for v in p.region.vertices:
             for to in (1, 2, 3):
-                if to == p.district(v) or flip_valid(full, v, to):
+                if to == p.district(v):
                     continue
-                if not in_window(apply_flip(p, v, to)):
+                q = apply_flip(p, v, to)
+                if flip_valid(full, v, to):
+                    if not in_window(q):
+                        assert _refusal(b, [q]) == "check: step leaves the window"
+                        left += 1
                     continue
-                with pytest.raises(ValueError, match="leaves Omega"):
-                    apply_recom(p, lift_flip(p, v, to))
-                rejected += 1
-    assert rejected > 50
+                if not in_window(q):
+                    continue
+                for state in (q, unclassified(q)):
+                    assert _refusal(b, [state]) == "check: step breaks a district"
+                broken += 1
+    assert broken > 50 and left > 20
 
 
 def test_recom_steps_may_move_many_vertices(pool5):

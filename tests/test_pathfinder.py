@@ -19,7 +19,7 @@ from trirecom import (
     path,
     verify_trace,
 )
-from trirecom.moves import RecomStep, apply_recom, untouched_of_flip
+from trirecom.moves import RecomStep, untouched_of_flip
 from trirecom.partition import BalanceClass, classify, in_window
 from trirecom.pathfinder import (
     MIN_SIDE,
@@ -32,7 +32,13 @@ from trirecom.pathfinder import (
     sweep,
 )
 
-from support import TARGETS_BY_SIDE, random_omega_state, unclassified
+from support import (
+    TARGETS_BY_SIDE,
+    apply_recom,
+    first_window_flip,
+    random_omega_state,
+    unclassified,
+)
 
 
 @pytest.fixture(scope="module")
@@ -278,14 +284,6 @@ FRAMES = [
 ]
 
 
-def _first_valid_flip(p):
-    for v in p.region.vertices:
-        for to in (1, 2, 3):
-            if flip_valid(p, v, to) and in_omega(apply_flip(p, v, to)):
-                return v, to
-    raise AssertionError("no valid flip")
-
-
 def _frame_inverse(region, frame, v, d):
     """Pull a vertex and a district of a frame's image back to its source."""
     roles, reflect, turns = frame
@@ -305,7 +303,7 @@ def test_builder_records_nested_frame_flips_in_root_labels(pool5):
             made = []
 
             def flip_once(sub):
-                v, to = _first_valid_flip(sub.p)
+                v, to = first_window_flip(sub.p)
                 sub.flip(v, to, "framed")
                 made.append((v, to))
 
@@ -362,9 +360,8 @@ def test_nested_frames_keep_the_parents_frozen_vertex(pool5):
             err = sub.attempt(lambda s: s.flip(w, d, "framed"))
             assert str(err) == f"framed: flip would reassign frozen vertex {w}"
             assert sub.steps == steps and sub.p is state
-            untouched = untouched_of_flip(sub.p.district(w), d)
-            step = RecomStep(untouched, apply_flip(sub.p, w, d).labels, "framed")
-            err = sub.attempt(lambda s: s.extend([step]))
+            q = apply_flip(sub.p, w, d)
+            err = sub.attempt(lambda s: s.extend([q], "framed"))
             assert str(err) == f"framed: step reassigns frozen vertex {w}"
             assert sub.steps == steps and sub.p is state
             seen.append(w)
@@ -410,13 +407,13 @@ def test_builder_flip_accepts_exactly_the_valid_window_flips(pool5):
 def test_attempt_rolls_back_a_failed_run(pool5):
     p = pool5[0]
     b = _Builder(p)
-    v, to = _first_valid_flip(p)
+    v, to = first_window_flip(p)
     b.flip(v, to, "kept")
     steps, state = list(b.steps), b.p
     boom = PathError("test", "after one flip")
 
     def emit_then_fail(sub):
-        sub.flip(*_first_valid_flip(sub.p), "dropped")
+        sub.flip(*first_window_flip(sub.p), "dropped")
         raise boom
 
     assert b.attempt(emit_then_fail) is boom
@@ -434,7 +431,7 @@ def test_first_success_raises_the_first_error(pool5):
     errors = {c: PathError("test", f"candidate {c}") for c in (1, 2, 3)}
 
     def fail(sub, c):
-        sub.flip(*_first_valid_flip(sub.p), f"candidate {c}")
+        sub.flip(*first_window_flip(sub.p), f"candidate {c}")
         raise errors[c]
 
     with pytest.raises(PathError) as info:
@@ -443,7 +440,7 @@ def test_first_success_raises_the_first_error(pool5):
     assert b.steps == [] and b.p is p
 
     def second_wins(sub, c):
-        sub.flip(*_first_valid_flip(sub.p), f"candidate {c}")
+        sub.flip(*first_window_flip(sub.p), f"candidate {c}")
         if c != 2:
             raise errors[c]
 

@@ -7,7 +7,9 @@ an attribute access, a top-level name by a loaded global name or an import;
 a local variable, parameter or field of the same name does not count.  Code
 only the tests call belongs in `tests/support.py`.  Exempt are click
 commands (the CLI calls them through its group), dunders, and the allowlist
-below.  No `src/` module may import a name it does not use.
+below.  No `src/` module may import a name it does not use, and no `src/`
+function may bind a local name it never reads (names starting with `_` are
+exempt, for the values an unpacking must bind and drops).
 """
 
 from __future__ import annotations
@@ -192,3 +194,73 @@ def test_src_modules_import_only_names_they_use():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert not unused, f"unused imports: {unused}"
+
+
+def _own_scope(fn):
+    """The nodes of a function's own scope: the bodies of nested
+    functions, lambdas and classes are left out."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree: ast.Module) -> list[str]:
+    """'function:name' for each name a function assigns in its own scope
+    and that neither it nor a scope nested in it reads."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = set(), set()
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {
+            node.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name in stored - read - declared:
+            if not name.startswith("_"):
+                out.append(f"{fn.name}:{name}")
+    return sorted(out)
+
+
+def test_src_functions_read_every_local_they_bind():
+    unused = {
+        path.name: names
+        for path in SRC
+        if (names := _unused_locals(ast.parse(path.read_text())))
+    }
+    assert not unused, f"locals bound and never read: {unused}"
+
+
+def test_a_local_bound_and_never_read_is_flagged():
+    source = """
+def f(param):
+    q, steps, _ = make()
+    total = 0
+    for item in steps:
+        total += item
+    seen = 0
+
+    def inner():
+        nonlocal seen
+        seen = 1
+        return param
+
+    return inner, seen, [x for x in steps]
+
+
+def g():
+    kept = 1
+    return lambda: kept
+"""
+    assert _unused_locals(ast.parse(source)) == ["f:q", "f:total"]

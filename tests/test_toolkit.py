@@ -229,9 +229,9 @@ def _ring_partition():
 
 def test_cycle_recombine_swaps_the_interior():
     region, ring, p = _ring_partition()
-    q, step = cycle_recombine(p, ring, x=(3, 2), y=(3, 3))
-    assert step.untouched == 3
-    assert q.masks()[2] == p.masks()[2]
+    q = cycle_recombine(p, ring, x=(3, 2), y=(3, 3))
+    # one recombination step of districts 1 and 2; district 3 is untouched
+    assert [a == b for a, b in zip(q.masks(), p.masks())] == [False, False, True]
     assert q.sizes() == p.sizes()
     changed = {
         v
@@ -308,8 +308,15 @@ def test_towers_found_in_samples_resolve_correctly(pool5):
                 for i in range(1, len(chain) - 1):
                     assert not flip_valid(p, chain[i], p.district(chain[i - 1]))
                 assert flip_valid(p, v_next, p.district(tower[-1]))
-                q, steps = execute_tower(p, tower, v_next)
-                assert len(steps) == len(chain) - 1
+                states = execute_tower(p, tower, v_next)
+                assert len(states) == len(chain) - 1
+                # one flip per state; from a valid state each carries its
+                # validity
+                assert p._valid is True
+                for before, after in zip([p] + states, states):
+                    moved = [a != b for a, b in zip(before.labels, after.labels)]
+                    assert moved.count(True) == 1 and after._valid is True
+                q = states[-1]
                 # net effect: the top district gains one vertex and the
                 # district past the bottom loses one (they may coincide)
                 expected = [0, 0, 0]
@@ -361,20 +368,20 @@ def _arms(p, s1, s2):
 def test_unwind_reaches_balance():
     p = _unwind_instance()
     s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2, 1, 2, 3)
     assert outcome == "balanced"
-    assert q.sizes() == (7, 7, 7)
-    assert len(steps) >= 1
-    untouched_all = {s.untouched for s in steps}
-    assert untouched_all <= {1, 2, 3}
+    assert states[-1].sizes() == (7, 7, 7)
+    # one flip per state
+    for before, after in zip([p] + states, states):
+        assert sum(a != b for a, b in zip(before.labels, after.labels)) == 1
 
 
 def test_unwind_respects_protected_vertex():
     p = _unwind_instance()
     s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
-    q, steps, outcome = unwind(p, s1, s2, 1, 2, 3, protected=(5, 4))
+    states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=(5, 4))
     assert outcome == "balanced"
-    assert q.district((5, 4)) == p.district((5, 4))
+    assert all(q.district((5, 4)) == p.district((5, 4)) for q in states)
 
 
 def test_unwind_rejects_adjacent_arms_and_mismatched_districts():
