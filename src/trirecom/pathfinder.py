@@ -34,11 +34,12 @@ of the mask, so a memo hit is exactly the flood fill's answer; a step's
 untouched district is the previous state's mask and always hits.  It never
 reads a validity or class carried by its caller's partitions, and builds a
 Partition only for its report's final state.  The engine never searches the
-state
-space: when a structural expectation of a branch fails, a PathError naming
-the branch is raised instead.  Sub-cases that no sampled state reached were
-deleted; their call sites raise such a PathError naming the deleted sub-case
-(the README's case map lists them).
+state space and never rolls a step back: each case works at one candidate,
+its first boundary pair or junction in a fixed order, and when a structural
+expectation of a branch fails, a PathError naming the branch is raised
+instead.  Sub-cases that no sampled state reached were deleted; their call
+sites raise such a PathError naming the deleted sub-case (the README's case
+map lists them).
 
 The builder's bookkeeping runs on the district bitboards (Partition.masks),
 the only vertex sets the engine holds: the removable-vertex scan walks the
@@ -91,7 +92,6 @@ from .partition import (
 )
 from .toolkit import (
     NoShrinkVertex,
-    StructuralError,
     build_tower,
     cycle_recombine,
     execute_tower,
@@ -254,31 +254,6 @@ class _Builder:
             self.p = q if roles is None else q.relabeled(inv)
         return out
 
-    def attempt(self, func, *args):
-        """Run func on this builder; on a structural failure drop its steps,
-        restore the partition and return the error (None on success)."""
-        p, mark = self.p, len(self.steps)
-        try:
-            func(self, *args)
-        except (PathError, StructuralError) as exc:
-            del self.steps[mark:]
-            self.p = p
-            return exc
-        return None
-
-
-def _first_success(b: _Builder, func, candidates) -> None:
-    """Run func(b, *cand) for each candidate until one succeeds; raise the
-    first candidate's error when all fail."""
-    first_err = None
-    for cand in candidates:
-        err = b.attempt(func, *cand)
-        if err is None:
-            return
-        if first_err is None:
-            first_err = err
-    raise first_err
-
 
 # -- small structural helpers ---------------------------------------------------
 
@@ -369,6 +344,16 @@ def _release_or_pick(b: _Builder, i: int, note: str):
     if first is None:
         raise PathError(note, "no removable district-1 vertex beyond the column")
     return first
+
+
+def _flip_first(b: _Builder, cands: int, to: int, note: str) -> bool:
+    """Flip the first vertex of the candidate bitboard, in ordering index,
+    that is not frozen and has a valid flip to district `to`; False when
+    there is none."""
+    for v, _ in shrink_flips(b.p, cands & ~b.frozen, (to,)):
+        b.flip(v, to, note)
+        return True
+    return False
 
 
 def _hex_distance(u: Vertex, v: Vertex) -> int:
@@ -568,12 +553,12 @@ def _case_a(b: _Builder, i: int) -> None:
         for w in region.neighbors(a):
             if bit_of[w] & b3:
                 cand.append((a, w))
-    cand.sort(
-        key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
-    )
     if not cand:
         raise PathError("boundary-pair", "no adjacent boundary pair")
-    _first_success(b, _case_a_pair, [(i, a, bb) for a, bb in cand])
+    a, bb = min(
+        cand, key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
+    )
+    _case_a_pair(b, i, a, bb)
 
 
 def _case_a_pair(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
@@ -600,7 +585,11 @@ def _case_a_labels(p: Partition, a: Vertex, bb: Vertex):
 
 
 def _case_a_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
-    """a's 2- and 3-neighborhoods are both connected."""
+    """a's 2- and 3-neighborhoods are both connected.  When the removable
+    vertex is the arc end e and hangs on district 1 by d alone, as a far
+    corner does, d can move to neither district: e joins district 2 through
+    a instead, and the first district-2 vertex with a valid flip to
+    district 3 passes the surplus on."""
     note = "boundary-pair"
     v = _release_or_pick(b, i, note)
     if v is None:
@@ -649,8 +638,15 @@ def _case_a_valid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
         if neighborhood_flip_test(p, d, 3):
             b.flip(d, 3, note)
             return
-        b.flip(d, 2, note)
-        b.flip(a, 3, note)
+        if neighborhood_flip_test(p, d, 2):
+            b.flip(d, 2, note)
+            b.flip(a, 3, note)
+            return
+        b.flip(e, 2, note)
+        if not _flip_first(b, b.p.masks()[1], 3, note):
+            raise PathError(
+                "boundary-pair/far-corner", "no district-2 vertex flips to 3"
+            )
         return
     raise PathError("boundary-pair/size-2", f"unexpected component {sorted(w_set)}")
 
@@ -695,7 +691,7 @@ def _case_a_invalid(b: _Builder, i: int, a: Vertex, bb: Vertex) -> None:
             raise PathError("boundary-pair/d1-discon", "forced labels absent")
         s1 = _arm(p, 1, d, f)
         s2 = _arm(p, 2, a, e)
-    states, outcome = unwind(b.p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(b.p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -940,7 +936,7 @@ def _interior_split_left(
     )
     if s2 is None:
         raise PathError(note, "no opposite-side district-2 arm")
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -978,7 +974,7 @@ def _interior_split_edge(
         s2 = _arm(p, 2, a, f)
     else:
         raise PathError(note, "cut-off component misses both flanks")
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -1027,7 +1023,7 @@ def _interior_split_one(
     if x is None:
         raise PathError(note, "neither inner pivot lies in the arm")
     if s2 & ~bit_of[x]:
-        states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=x)
+        states, outcome = unwind(p, s1, s2, protected=x)
         b.extend(states, "unwind")
         if outcome == "balanced":
             return
@@ -1106,7 +1102,7 @@ def _interior_split_two(
         s2 = _arm(p, 2, a, f)
     if s1 & region.boundary_mask:
         raise PathError(note, "cut-off arm reaches the boundary")
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -1274,7 +1270,7 @@ def _case_c_abd(b: _Builder, i: int, a: Vertex, bbv: Vertex, c: Vertex) -> None:
     away = [s for s in region.components(_without(p, 2, a)) if not s & on_q2]
     if len(away) != 1:
         raise PathError(note, f"expected one off-path arm, got {len(away)}")
-    states, outcome = unwind(p, s1, away[0], 1, 2, 3)
+    states, outcome = unwind(p, s1, away[0])
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -1381,7 +1377,7 @@ def _case_c_ecut(
         _case_c_post(b, i, a, bbv, c, depth)
         return
     if s2 & ~region.bit_of[dprime]:
-        states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=dprime)
+        states, outcome = unwind(p, s1, s2, protected=dprime)
         b.extend(states, "unwind")
         if outcome == "balanced":
             return
@@ -1465,12 +1461,12 @@ def _case_d(b: _Builder, i: int) -> None:
         for w in region.neighbors(a):
             if region.bit_of[w] & b3:
                 cand.append((a, w))
-    cand.sort(
-        key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
-    )
     if not cand:
         raise PathError("separated", "no boundary junction pair")
-    _first_success(b, _case_d_pair, [(i, a, bv) for a, bv in cand])
+    a, bv = min(
+        cand, key=lambda pr: (frozenset(pr) not in consecutive, ordering_index(pr[0]))
+    )
+    _case_d_pair(b, i, a, bv)
 
 
 def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
@@ -1504,7 +1500,11 @@ def _case_d_pair(b: _Builder, i: int, a: Vertex, bv: Vertex) -> None:
 
 def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex) -> None:
     """d (district 2) separates a's district-1 neighborhood and flips cleanly;
-    free a replacement first."""
+    free a replacement first: the last district-1 vertex y of the scan
+    around d from a past the cut-off flank x.  When the scan meets the
+    region's edge first, release a vertex beyond the column to district 3,
+    or else move x to district 2 and a to district 3, and the first
+    district-2 vertex with a valid flip to district 1 restores balance."""
     note = "separated"
     p = b.p
     region = p.region
@@ -1529,7 +1529,15 @@ def _case_d_one(b: _Builder, i: int, a: Vertex, d: Vertex, c: Vertex, e: Vertex)
         else:
             z = u
             break
-    if y is None or z is None or p.district(z) != 2:
+    if z is None:
+        if _flip_first(b, _beyond(p, i), 3, note):
+            return
+        b.flip(x, 2, note)
+        b.flip(a, 3, note)
+        if not _flip_first(b, b.p.masks()[1], 1, note):
+            raise PathError("separated/wedge-edge", "no district-2 vertex flips to 1")
+        return
+    if p.district(z) != 2:
         raise PathError(note, "wedge scan found no handoff pair")
     if at_most_one_arc(p, y, 1):
         if neighborhood_flip_test(p, y, 3):
@@ -1604,7 +1612,7 @@ def _case_d_2a(
     )
     if s2 is None:
         raise PathError(note, "no district-2 arm inside the wedge cycle")
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -1663,7 +1671,7 @@ def _case_d_2b(
         )
         if s2 is None:
             raise PathError(note, "no district-2 arm inside the cycle")
-        states, outcome = unwind(p, s1, s2, 1, 2, 3)
+        states, outcome = unwind(p, s1, s2)
         b.extend(states, "unwind")
         if outcome == "balanced":
             return
@@ -1803,10 +1811,6 @@ def _ground_round(b: _Builder, i: int) -> None:
 # -- nearly balanced repair -----------------------------------------------------------
 
 
-def _balance_std(b: _Builder) -> None:
-    _nb_rebalance(b, 0)
-
-
 def _nb_rebalance(b: _Builder, depth: int) -> None:
     """Map the oversized district to role 1 and the deficit district to role
     3, then repair."""
@@ -1857,23 +1861,17 @@ def _nb_core(b: _Builder, depth: int) -> None:
         for x, y in ((u, w), (w, u)):
             if p.district(x) != 3 and p.district(y) == 3:
                 pairs.append((x, y))
-    p1_pairs = sorted(
-        (pr for pr in pairs if p.district(pr[0]) == 1),
-        key=lambda pr: (ordering_index(pr[0]), ordering_index(pr[1])),
-    )
-    first_err = None
-    for a, bv in p1_pairs:
-        err = b.attempt(_nb_junction, a, bv, depth)
-        if err is None:
-            return
-        if first_err is None:
-            first_err = err
+    p1_pairs = [pr for pr in pairs if p.district(pr[0]) == 1]
+    if p1_pairs:
+        a, bv = min(
+            p1_pairs, key=lambda pr: (ordering_index(pr[0]), ordering_index(pr[1]))
+        )
+        _nb_junction(b, a, bv, depth)
+        return
     if any(p.district(pr[0]) == 2 for pr in pairs) and rem:
         b.flip(rem[0][0], 2, note)
         _nb_rebalance(b, depth + 1)
         return
-    if first_err is not None:
-        raise first_err
     raise PathError(note, "no boundary junction with the deficit district")
 
 
@@ -1951,7 +1949,7 @@ def _nb_junction_wedge(b: _Builder, a: Vertex, seq, depth: int) -> None:
             raise PathError(note, "forced split-wedge labels absent")
         s_i = _arm(p, 1, a, e)
         s_j = _arm(p, 2, d, f)
-    states, outcome = unwind(p, s_i, s_j, 1, 2, 3)
+    states, outcome = unwind(p, s_i, s_j)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -2115,7 +2113,7 @@ def _nb_cmach(
         v, _ = find_shrink_vertex(b.p, inside2[0], (2,))
         b.flip(v, 2, note)
         return
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     b.extend(states, "unwind")
     if outcome == "balanced":
         return
@@ -2188,7 +2186,7 @@ def balance_nearly(p: Partition) -> Trace:
     if classify(p) is not BalanceClass.NEARLY_BALANCED:
         raise PathError("restore-balance", "partition is not nearly balanced")
     b = _Builder(p)
-    _balance_std(b)
+    _nb_rebalance(b, 0)
     return _as_trace(p, b.steps)
 
 
@@ -2241,7 +2239,7 @@ def _route_to_ground(p: Partition) -> tuple[list[RecomStep], tuple[int, int, int
     blocks."""
     b = _Builder(p)
     if classify(b.p) is BalanceClass.NEARLY_BALANCED:
-        _balance_std(b)
+        _nb_rebalance(b, 0)
     b.run(_sweep_std, roles=_corner_roles(b.p))
     roles = _corner_roles(b.p)
     inv = {r: d for d, r in roles.items()}

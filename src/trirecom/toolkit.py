@@ -330,22 +330,19 @@ def unwind(
     p: Partition,
     s1: int,
     s2: int,
-    d1: int,
-    d2: int,
-    d3: int,
     protected: Vertex | None = None,
 ) -> tuple[list[Partition], str]:
     """Alternately shrink two non-adjacent arms, given as bitboards: s1
-    inside district d1 (one above target) and s2 inside district d2 (at
-    target), with d3 one below target.  Each round flips one s1 vertex out
-    and one s2 vertex back; the first opportunity to feed d3 ends in
-    balance.  `protected`, if given, is an s2 vertex that is never
-    reassigned.
+    inside district 1 (one above target) and s2 inside district 2 (at
+    target), with district 3 one below target.  Each round flips one s1
+    vertex out and one s2 vertex back; the first opportunity to feed
+    district 3 ends in balance.  `protected`, if given, is an s2 vertex
+    that is never reassigned.
 
     Returns (states, outcome): the partition after each flip, and outcome
-    'balanced', 's1-exhausted' (all of s1 moved to d2), or 's2-exhausted'
-    (all of s2 but the protected vertex moved to d1); the latter two keep d1
-    oversized and d3 undersized."""
+    'balanced', 's1-exhausted' (all of s1 moved to district 2), or
+    's2-exhausted' (all of s2 but the protected vertex moved to district 1);
+    the latter two keep district 1 oversized and district 3 undersized."""
     cur = p
     states: list[Partition] = []
     region = p.region
@@ -354,26 +351,26 @@ def unwind(
     protect = 0 if protected is None else bit_of[protected]
     if not s1 or not s2 & ~protect:
         raise StructuralError("unwinding needs nonempty reassignable arms")
-    if s1 & ~masks[d1 - 1] or s2 & ~masks[d2 - 1]:
+    if s1 & ~masks[0] or s2 & ~masks[1]:
         raise StructuralError("arm districts do not match")
     if region.neighbors_mask(s1) & s2:
         raise StructuralError("unwinding arms must not be adjacent")
     # from here on s2 is the reassignable part of the arm
     s2 &= ~protect
     while True:
-        v1, to1 = find_shrink_vertex(cur, s1, (d3, d2))
-        if to1 == d3:
-            states.append(apply_flip(cur, v1, d3))
+        v1, to1 = find_shrink_vertex(cur, s1, (3, 2))
+        if to1 == 3:
+            states.append(apply_flip(cur, v1, 3))
             return states, "balanced"
-        v2, to2 = find_shrink_vertex(cur, s2, (d3, d1))
-        cur = apply_flip(cur, v1, d2)
+        v2, to2 = find_shrink_vertex(cur, s2, (3, 1))
+        cur = apply_flip(cur, v1, 2)
         states.append(cur)
         s1 &= ~bit_of[v1]
         cur = _checked_flip(cur, v2, to2)
         if cur is None:
             raise StructuralError("arm flip invalidated by the paired flip")
         states.append(cur)
-        if to2 == d3:
+        if to2 == 3:
             return states, "balanced"
         s2 &= ~bit_of[v2]
         if not s1:

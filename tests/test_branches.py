@@ -4,8 +4,9 @@
 `trirecom.pathfinder` that mild samples miss, the smallest-side state a
 sampler produced that reaches each (one state may serve several), plus
 recorded reproducers of known refusals and the recorded states whose route
-needs a later candidate of Case A's or Case D's pair loop (their
-`reaches` names the pair function).  Each entry records its provenance (a
+once needed a later candidate of Case A's or Case D's pair loop (their
+`reaches` names the pair function; they now route through the far-corner
+and wedge-edge moves at the first pair).  Each entry records its provenance (a
 sampler of `support.py`, the side, the seed, and the vertex moves an aimed
 flip walk made from the sampled state; recorded states without a seed have
 sampler null and say where they came from) and its expected outcome:

@@ -3,8 +3,8 @@
 Each pair is two `random_omega_state` draws from `random.Random(seed)`, sigma
 first.  A routed pair is digested from its compressed steps (`untouched`,
 `after`, `note`); a refused pair from its `PathError` branch and message, so
-today's refusals are pinned as well.  A change that alters the engine's
-behaviour shows up as the list of pair ids whose digest moved.
+a refusal shows up as an outcome as well as a digest.  A change that alters
+the engine's behaviour shows up as the list of pair ids whose digest moved.
 
 Regenerate the fixture (only when a trace change is intended and explained):
 
@@ -30,7 +30,9 @@ from support import random_omega_state, verify_trace_reference
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
 #: (n, targets, flip attempts per state, number of pairs).  The skewed and
-#: 1500-attempt groups reach the n >= 7 states the engine refuses today.
+#: 1500-attempt groups reach the n >= 7 states of Cases A and D that the
+#: engine refused before those cases made their far-corner and wedge-edge
+#: moves.
 GROUPS = (
     (5, (5, 5, 5), 300, 40),
     (6, (7, 7, 7), 300, 20),
@@ -273,11 +275,12 @@ def test_verify_trace_raises_on_a_source_label_or_untouched_outside_1_to_3(
             verify_trace(sigma, Trace(sigma.labels, steps))
 
 
-def test_corpus_covers_refusals_and_size():
+def test_corpus_routes_a_pair_of_each_group_and_size():
     groups = _load()
     pairs = [p for g in groups.values() for p in g["pairs"]]
     assert len(pairs) >= 200
-    assert any(p["outcome"] == "refused" for p in pairs)
+    for name, group in groups.items():
+        assert any(p["outcome"] == "routed" for p in group["pairs"]), name
     assert set(groups) == {group_name(n, k, a) for n, k, a, _ in GROUPS}
 
 

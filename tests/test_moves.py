@@ -7,6 +7,7 @@ import pytest
 
 from trirecom import (
     Partition,
+    PathError,
     apply_flip,
     build_region,
     flip_valid,
@@ -304,13 +305,10 @@ def test_recom_valid_rejects_identity_and_mismatched_instances(pool5):
 
 
 def _refusal(b, states):
-    """The text of the builder's refusal to record `states`; the failed
-    attempt leaves its steps and partition as they were."""
-    steps, state = list(b.steps), b.p
-    err = b.attempt(lambda sub: sub.extend(states, "check"))
-    assert err is not None
-    assert b.steps == steps and b.p is state
-    return str(err)
+    """The text of the builder's refusal to record `states`."""
+    with pytest.raises(PathError) as info:
+        b.extend(states, "check")
+    return str(info.value)
 
 
 _NOT_A_STEP = "check: step is not a recombination of two districts"
@@ -323,12 +321,14 @@ def test_builder_extend_validates_structure(pool5):
     # a cyclic relabeling moves every vertex, so no district is untouched
     rotated = p.with_labels(tuple(d % 3 + 1 for d in p.labels))
     assert _refusal(b, [rotated]) == _NOT_A_STEP
+    # a refused first state leaves the builder as it was
+    assert b.steps == [] and b.p is p
     v, to = first_window_flip(p)
     q = apply_flip(p, v, to)
     frozen = _Builder(p, frozen=p.region.bit_of[v])
     assert _refusal(frozen, [q]) == f"check: step reassigns frozen vertex {v}"
-    # a later state's refusal drops the steps recorded before it as well
-    assert _refusal(b, [q, q]) == _NOT_A_STEP
+    # a later state is checked against the one recorded before it
+    assert _refusal(_Builder(p), [q, q]) == _NOT_A_STEP
     # an accepted state is recorded with the one unchanged district
     b.extend([q], "check")
     assert b.p is q

@@ -24,7 +24,6 @@ from trirecom.partition import BalanceClass, classify, in_window
 from trirecom.pathfinder import (
     MIN_SIDE,
     _Builder,
-    _first_success,
     balance_nearly,
     compress_steps,
     finish_ground,
@@ -357,12 +356,14 @@ def test_nested_frames_keep_the_parents_frozen_vertex(pool5):
 
         def try_frozen(sub):
             steps, state = list(sub.steps), sub.p
-            err = sub.attempt(lambda s: s.flip(w, d, "framed"))
-            assert str(err) == f"framed: flip would reassign frozen vertex {w}"
+            with pytest.raises(PathError) as info:
+                sub.flip(w, d, "framed")
+            assert str(info.value) == f"framed: flip would reassign frozen vertex {w}"
             assert sub.steps == steps and sub.p is state
             q = apply_flip(sub.p, w, d)
-            err = sub.attempt(lambda s: s.extend([q], "framed"))
-            assert str(err) == f"framed: step reassigns frozen vertex {w}"
+            with pytest.raises(PathError) as info:
+                sub.extend([q], "framed")
+            assert str(info.value) == f"framed: step reassigns frozen vertex {w}"
             assert sub.steps == steps and sub.p is state
             seen.append(w)
 
@@ -402,47 +403,3 @@ def test_builder_flip_accepts_exactly_the_valid_window_flips(pool5):
                 assert b.p is p and b.steps == []
                 outcomes[expected] += 1
     assert min(outcomes.values()) > 20, outcomes
-
-
-def test_attempt_rolls_back_a_failed_run(pool5):
-    p = pool5[0]
-    b = _Builder(p)
-    v, to = first_window_flip(p)
-    b.flip(v, to, "kept")
-    steps, state = list(b.steps), b.p
-    boom = PathError("test", "after one flip")
-
-    def emit_then_fail(sub):
-        sub.flip(*first_window_flip(sub.p), "dropped")
-        raise boom
-
-    assert b.attempt(emit_then_fail) is boom
-    assert b.steps == steps and [s.note for s in b.steps] == ["kept"]
-    assert b.p is state
-    # the same inside a reflected frame
-    assert b.attempt(lambda sub: sub.run(emit_then_fail, reflect=True)) is boom
-    assert b.steps == steps and b.p is state
-    assert b.attempt(lambda sub: None) is None
-
-
-def test_first_success_raises_the_first_error(pool5):
-    p = pool5[0]
-    b = _Builder(p)
-    errors = {c: PathError("test", f"candidate {c}") for c in (1, 2, 3)}
-
-    def fail(sub, c):
-        sub.flip(*first_window_flip(sub.p), f"candidate {c}")
-        raise errors[c]
-
-    with pytest.raises(PathError) as info:
-        _first_success(b, fail, [(1,), (2,), (3,)])
-    assert info.value is errors[1]
-    assert b.steps == [] and b.p is p
-
-    def second_wins(sub, c):
-        sub.flip(*first_window_flip(sub.p), f"candidate {c}")
-        if c != 2:
-            raise errors[c]
-
-    _first_success(b, second_wins, [(1,), (2,), (3,)])
-    assert [s.note for s in b.steps] == ["candidate 2"]

@@ -368,7 +368,7 @@ def _arms(p, s1, s2):
 def test_unwind_reaches_balance():
     p = _unwind_instance()
     s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
-    states, outcome = unwind(p, s1, s2, 1, 2, 3)
+    states, outcome = unwind(p, s1, s2)
     assert outcome == "balanced"
     assert states[-1].sizes() == (7, 7, 7)
     # one flip per state
@@ -379,7 +379,7 @@ def test_unwind_reaches_balance():
 def test_unwind_respects_protected_vertex():
     p = _unwind_instance()
     s1, s2 = _arms(p, {(4, 1), (4, 2)}, {(5, 4), (5, 5)})
-    states, outcome = unwind(p, s1, s2, 1, 2, 3, protected=(5, 4))
+    states, outcome = unwind(p, s1, s2, protected=(5, 4))
     assert outcome == "balanced"
     assert all(q.district((5, 4)) == p.district((5, 4)) for q in states)
 
@@ -387,9 +387,9 @@ def test_unwind_respects_protected_vertex():
 def test_unwind_rejects_adjacent_arms_and_mismatched_districts():
     p = _unwind_instance()
     with pytest.raises(StructuralError):
-        unwind(p, *_arms(p, {(4, 1), (4, 2)}, {(5, 1)}), 1, 2, 3)  # arms touch
+        unwind(p, *_arms(p, {(4, 1), (4, 2)}, {(5, 1)}))  # arms touch
     with pytest.raises(StructuralError):
         # s1 not in district 1
-        unwind(p, *_arms(p, {(5, 4)}, {(5, 5)}), 1, 2, 3)
+        unwind(p, *_arms(p, {(5, 4)}, {(5, 5)}))
     with pytest.raises(StructuralError):
-        unwind(p, *_arms(p, set(), {(5, 4)}), 1, 2, 3)
+        unwind(p, *_arms(p, set(), {(5, 4)}))
